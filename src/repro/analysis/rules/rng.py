@@ -83,7 +83,6 @@ _STOCHASTIC_REPRO_FUNCS = {
     "laplace_mechanism",
     "sample_dirichlet_rows",
     "chunk_rng",
-    "stratified_sample_indices",
 }
 
 #: Parameter names through which randomness legitimately flows in.

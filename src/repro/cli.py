@@ -53,7 +53,6 @@ from repro.datasets.dataset import Dataset
 from repro.datasets.metadata import read_metadata, write_metadata
 from repro.generative.builder import GenerativeModelSpec
 from repro.generative.structure import StructureLearningConfig
-from repro.privacy.approximate import ApproximateTestConfig
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
 __all__ = ["build_config", "main"]
@@ -82,11 +81,6 @@ _DEFAULT_CONFIG = {
     # Crash re-executions allowed per engine chunk before a job fails
     # (supervised worker pools only; retries are bit-identical).
     "max_chunk_retries": 2,
-    # Bounded-latency approximate privacy testing: null = exact scan; true
-    # enables the sampling test with its defaults; an object overrides
-    # individual ApproximateTestConfig fields (release decisions stay
-    # bit-identical to exact either way).
-    "approximate": None,
     "rng_seed": 0,
 }
 
@@ -124,18 +118,6 @@ def build_config(options: dict, num_attributes: int) -> GenerationConfig:
         )
     batch_size = merged["batch_size"]
     workers = merged["workers"]
-    approximate = merged["approximate"]
-    if approximate is None or approximate is False:
-        approximate = None
-    elif approximate is True:
-        approximate = ApproximateTestConfig()
-    elif isinstance(approximate, dict):
-        approximate = ApproximateTestConfig(**approximate)
-    else:
-        raise ValueError(
-            "'approximate' must be null, true, or an object of "
-            "ApproximateTestConfig fields"
-        )
     return GenerationConfig(
         privacy=privacy,
         model=model,
@@ -146,7 +128,6 @@ def build_config(options: dict, num_attributes: int) -> GenerationConfig:
         num_workers=int(workers) if workers is not None else None,
         chunk_size=int(merged["chunk_size"]),
         max_chunk_retries=int(merged["max_chunk_retries"]),
-        approximate=approximate,
     )
 
 
@@ -250,7 +231,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         delta=args.budget_delta,
         max_rows=args.budget_max_rows,
         min_k=args.budget_min_k,
-        accuracy=args.budget_accuracy,
     )
     app = ServiceApp(
         ModelRegistry(run_store=run_store),
@@ -439,12 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--budget-min-k", type=int, default=1,
         help="default per-session k-deniability floor",
-    )
-    serve.add_argument(
-        "--budget-accuracy", choices=("exact", "approximate"), default="exact",
-        help="default per-session accuracy contract for the privacy test: "
-        "'approximate' runs the bounded-latency sampling test (release "
-        "decisions stay bit-identical to exact)",
     )
     serve.add_argument(
         "--metrics", dest="metrics", action="store_true", default=True,

@@ -87,7 +87,6 @@ from repro.core.run_store import RunStore, dataset_fingerprint
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import Schema
 from repro.generative.base import GenerativeModel
-from repro.privacy.approximate import ApproximateTestConfig
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 
 __all__ = [
@@ -248,8 +247,6 @@ class _WorkerSpec:
     tables_meta: list[tuple[int, tuple[int, ...], tuple[int, ...], _ArraySpec, _ArraySpec, _ArraySpec]] | None = None
     # Fallback for arbitrary models: pickled once per worker (not per task).
     fallback_model: GenerativeModel | None = None
-    # Bounded-latency approximate privacy testing (None = exact scan).
-    approximate: ApproximateTestConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -404,11 +401,7 @@ def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> 
                 )
             )
         model = BayesianNetworkSynthesizer(schema, spec.structure, tables, spec.omegas)
-    mechanism = SynthesisMechanism(
-        model, seeds, spec.params, approximate=spec.approximate
-    )
-    mechanism.prepare()
-    return mechanism
+    return SynthesisMechanism(model, seeds, spec.params).prepare()
 
 
 def _worker_main(
@@ -571,7 +564,6 @@ class SynthesisEngine:
         run_store: RunStore | None = None,
         max_chunk_retries: int = 2,
         fault_injector=None,
-        approximate: ApproximateTestConfig | None = None,
         event_sink=None,
     ):
         if num_workers < 1:
@@ -592,7 +584,6 @@ class SynthesisEngine:
         self._run_store = run_store
         self._max_chunk_retries = max_chunk_retries
         self._fault_injector = fault_injector
-        self._approximate = approximate
         # Optional supervision-event callback ``(kind, payload)`` with kind
         # in {"worker_restart", "chunk_retry", "pool_rebuild"}.  Telemetry
         # only: it must not raise, and it never influences execution.
@@ -752,7 +743,6 @@ class SynthesisEngine:
             params=self._params,
             seed_segment=seed_segment.name,
             seed_spec=seed_spec,
-            approximate=self._approximate,
         )
         from repro.generative.bayesian_network import BayesianNetworkSynthesizer
 
@@ -1013,10 +1003,7 @@ class SynthesisEngine:
     def _mechanism(self) -> SynthesisMechanism:
         if self._local_mechanism is None:
             self._local_mechanism = SynthesisMechanism(
-                self._model,
-                self._seeds,
-                self._params,
-                approximate=self._approximate,
+                self._model, self._seeds, self._params
             ).prepare()
         return self._local_mechanism
 
@@ -1449,14 +1436,6 @@ class SynthesisEngine:
             "epsilon0": self._params.epsilon0,
             "max_plausible": self._params.max_plausible,
             "max_check_plausible": self._params.max_check_plausible,
-            # The approximate config cannot change released rows (decisions
-            # are bit-identical to exact), but it does change the recorded
-            # records_checked accounting, so resumed chunks must share it.
-            "approximate": (
-                dataclasses.asdict(self._approximate)
-                if self._approximate is not None
-                else None
-            ),
             "workload": self.workload_fingerprint(),
         }
 

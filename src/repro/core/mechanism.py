@@ -28,13 +28,8 @@ from repro.core.results import SynthesisAttempt, SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.obs.profile import phase as obs_phase
 from repro.generative.base import GenerativeModel
-from repro.privacy.approximate import (
-    ApproximateTestConfig,
-    approximate_plausible_counts,
-)
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
-    batch_plausible_seed_counts,
     make_privacy_test,
     partition_numbers,
 )
@@ -42,19 +37,16 @@ from repro.privacy.plausible_deniability import (
 __all__ = ["SynthesisMechanism"]
 
 
-def _spawn_stream(rng: np.random.Generator) -> np.random.Generator:
-    """An independent child generator that leaves the parent stream untouched.
+#: Keys stay below this bound, so a key times the next radix plus a digit
+#: never overflows int64.
+_KEY_LIMIT = 2**62
 
-    Spawning advances the parent's SeedSequence child counter but consumes no
-    draws, so a path that spawns and a path that does not see identical
-    values from the parent — the property the approximate test's bit-identity
-    rests on.
-    """
-    try:
-        return rng.spawn(1)[0]
-    except AttributeError:  # numpy < 1.25: spawn via the seed sequence
-        child_seed = rng.bit_generator.seed_seq.spawn(1)[0]
-        return np.random.Generator(type(rng.bit_generator)(child_seed))
+
+def _has_match_structure(model) -> bool:
+    """Whether ``model`` exposes the interface the prefix-key index needs."""
+    return hasattr(model, "omegas") and hasattr(
+        model, "candidate_factor_suffix_products"
+    )
 
 
 class _SeedMatchIndex:
@@ -67,20 +59,54 @@ class _SeedMatchIndex:
     every batch's counting into ``searchsorted`` queries, making the per-
     candidate cost of the privacy test (nearly) independent of the seed-set
     size instead of linear in it.
+
+    Keys are built by walking the re-sampling order σ once and folding each
+    attribute in as a mixed-radix int64 digit; the key after the first
+    ``m - ω`` attributes identifies ω's fixed prefix.  When the next digit
+    would reach 2^62 the running key is replaced by its dense rank among the
+    seed keys, so every schema gets exact keys.  One extra rank marks a
+    prefix that no seed has: such a record matches no seed.
     """
 
     def __init__(self, model, seed_data: np.ndarray):
         # Ascending ω (longest fixed prefix first), multiplicity preserved so
         # a non-uniform ω tuple keeps its weighting in the suffix sums.
         self.omegas: tuple[int, ...] = tuple(sorted(model.omegas))
-        self.sorted_keys: dict[int, np.ndarray] = {}
-        self.supported = True
-        for omega in sorted(set(self.omegas)):
-            keys = model.fixed_prefix_keys(seed_data, omega)
-            if keys is None:
-                self.supported = False
-                return
-            self.sorted_keys[omega] = np.sort(keys)
+        num_attributes = len(model.schema)
+        self._cuts = {num_attributes - omega: omega for omega in self.omegas}
+        self._columns = model.structure.order[: max(self._cuts)]
+        self._radices = [model.schema[column].cardinality for column in self._columns]
+        # σ-position -> sorted distinct seed keys the running key is ranked in.
+        self._ranks: dict[int, np.ndarray] = {}
+        self.sorted_keys = {
+            omega: np.sort(keys)
+            for omega, keys in self._fold(seed_data, build=True).items()
+        }
+
+    def prefix_keys(self, records: np.ndarray) -> dict[int, np.ndarray]:
+        """Each record's fixed-prefix key, per distinct ω."""
+        return self._fold(records, build=False)
+
+    def _fold(self, records: np.ndarray, build: bool) -> dict[int, np.ndarray]:
+        matrix = np.asarray(records, dtype=np.int64)
+        keys = np.zeros(matrix.shape[0], dtype=np.int64)
+        bound = 1  # exclusive upper bound of every key
+        by_omega: dict[int, np.ndarray] = {}
+        for position, (column, radix) in enumerate(zip(self._columns, self._radices)):
+            if position in self._cuts:
+                by_omega[self._cuts[position]] = keys
+            if bound * radix >= _KEY_LIMIT:
+                if build:
+                    self._ranks[position] = np.unique(keys)
+                seed_keys = self._ranks[position]
+                rank = np.searchsorted(seed_keys, keys)
+                found = seed_keys[np.minimum(rank, seed_keys.size - 1)] == keys
+                keys = np.where(found, rank, seed_keys.size)
+                bound = seed_keys.size + 1
+            keys = keys * radix + matrix[:, column]
+            bound *= radix
+        by_omega[self._cuts[len(self._columns)]] = keys
+        return by_omega
 
 
 class SynthesisMechanism:
@@ -91,7 +117,6 @@ class SynthesisMechanism:
         model: GenerativeModel,
         seed_dataset: Dataset,
         params: PlausibleDeniabilityParams,
-        approximate: ApproximateTestConfig | None = None,
     ):
         if seed_dataset.schema != model.schema:
             raise ValueError("the seed dataset's schema must match the model's schema")
@@ -103,7 +128,6 @@ class SynthesisMechanism:
         self._model = model
         self._seeds = seed_dataset
         self._params = params
-        self._approximate = approximate
         self._test = make_privacy_test(params)
         self._match_index: _SeedMatchIndex | None = None
 
@@ -122,11 +146,6 @@ class SynthesisMechanism:
         """The plausible-deniability parameters."""
         return self._params
 
-    @property
-    def approximate(self) -> ApproximateTestConfig | None:
-        """The approximate-test configuration, or ``None`` for exact-only."""
-        return self._approximate
-
     def prepare(self) -> "SynthesisMechanism":
         """Build the sorted prefix-key match index eagerly.
 
@@ -135,11 +154,7 @@ class SynthesisMechanism:
         sort cost never lands inside a timed or dispatched chunk.  A no-op
         for models without the match-structure interface.
         """
-        if self._match_index is None and (
-            hasattr(self._model, "fixed_prefix_keys")
-            and hasattr(self._model, "candidate_factor_suffix_products")
-            and hasattr(self._model, "omegas")
-        ):
+        if self._match_index is None and _has_match_structure(self._model):
             self._match_index = _SeedMatchIndex(self._model, self._seeds.data)
         return self
 
@@ -192,29 +207,24 @@ class SynthesisMechanism:
                 self._seeds.data[seed_indices], rng
             )
         with obs_phase("privacy_test"):
-            if self._approximate_active():
-                results = self._approximate_batch_results(
-                    seed_indices, candidates, rng
+            fast_counts = self._fast_batch_counts(seed_indices, candidates)
+            if fast_counts is not None:
+                counts, partitions, checked, saturated = fast_counts
+                results = self._test.results_from_counts(
+                    counts, partitions, checked, rng, saturated=saturated
                 )
             else:
-                fast_counts = self._fast_batch_counts(seed_indices, candidates)
-                if fast_counts is not None:
-                    counts, partitions, checked, saturated = fast_counts
-                    results = self._test.results_from_counts(
-                        counts, partitions, checked, rng, saturated=saturated
-                    )
-                else:
-                    probability_matrix = self._model.batch_probability_matrix(
-                        self._seeds.data, candidates
-                    )
-                    # The true seed is a row of the seed dataset, so its
-                    # generation probability is already a column of the matrix.
-                    seed_probabilities = probability_matrix[
-                        np.arange(batch_size), seed_indices
-                    ]
-                    results = self._test.run_batch(
-                        seed_probabilities, probability_matrix, rng
-                    )
+                probability_matrix = self._model.batch_probability_matrix(
+                    self._seeds.data, candidates
+                )
+                # The true seed is a row of the seed dataset, so its
+                # generation probability is already a column of the matrix.
+                seed_probabilities = probability_matrix[
+                    np.arange(batch_size), seed_indices
+                ]
+                results = self._test.run_batch(
+                    seed_probabilities, probability_matrix, rng
+                )
         return [
             SynthesisAttempt(
                 seed_index=int(seed_indices[index]),
@@ -223,89 +233,6 @@ class SynthesisMechanism:
             )
             for index in range(batch_size)
         ]
-
-    def _approximate_active(self) -> bool:
-        """Whether the batched path should decide candidates from samples.
-
-        The approximate mode is mutually exclusive with the subset-scan
-        knobs (``max_check_plausible`` / ``max_plausible`` already trade
-        exactness for speed in a different, paper-specified way) and is
-        bypassed below ``min_records`` where the exact scan is cheap.
-        """
-        return (
-            self._approximate is not None
-            and self._params.max_check_plausible is None
-            and self._params.max_plausible is None
-            and len(self._seeds) >= self._approximate.min_records
-        )
-
-    def _approximate_batch_results(
-        self,
-        seed_indices: np.ndarray,
-        candidates: np.ndarray,
-        rng: np.random.Generator,
-    ) -> list:
-        """Privacy-test a batch via sampling, bit-identical to the exact path.
-
-        The main stream ``rng`` is consumed exactly as the exact batched path
-        consumes it — the threshold draw below sits at the same stream
-        position (the randomized test's single ``size=batch`` Laplace draw;
-        a no-op for the deterministic test), and all sampler randomness comes
-        from a spawned child stream.
-        """
-        params = self._params
-        batch_size = candidates.shape[0]
-        thresholds = self._test.thresholds(batch_size, rng)
-        sampler_rng = _spawn_stream(rng)
-
-        # The seed's own generation probability (hence its γ-bucket) is exact
-        # and cheap: one pairwise diagonal, independent of the seed-set size.
-        seed_rows = self._seeds.data[seed_indices]
-        pair_matrix = self._model.batch_probability_matrix(seed_rows, candidates)
-        diagonal = pair_matrix[np.arange(batch_size), np.arange(batch_size)]
-        seed_partitions = partition_numbers(diagonal, params.gamma)
-
-        def probability_fn(
-            record_indices: np.ndarray, candidate_indices: np.ndarray
-        ) -> np.ndarray:
-            return self._model.batch_probability_matrix(
-                self._seeds.data[record_indices], candidates[candidate_indices]
-            )
-
-        def exact_fn(candidate_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            subset_seeds = seed_indices[candidate_ids]
-            subset_candidates = candidates[candidate_ids]
-            fast = self._fast_batch_counts(subset_seeds, subset_candidates)
-            if fast is not None:
-                counts, _, checked, _ = fast
-                return counts, checked
-            matrix = self._model.batch_probability_matrix(
-                self._seeds.data, subset_candidates
-            )
-            probabilities = matrix[np.arange(candidate_ids.size), subset_seeds]
-            counts, _, checked, _ = batch_plausible_seed_counts(
-                probabilities, matrix, params.gamma
-            )
-            return counts, checked
-
-        report = approximate_plausible_counts(
-            seed_partitions=seed_partitions,
-            seed_record_indices=np.asarray(seed_indices, dtype=np.int64),
-            thresholds=thresholds,
-            probability_fn=probability_fn,
-            exact_fn=exact_fn,
-            num_records=len(self._seeds),
-            gamma=params.gamma,
-            config=self._approximate,
-            rng=sampler_rng,
-        )
-        return self._test.results_from_counts(
-            report.counts,
-            seed_partitions,
-            report.records_checked,
-            escalated=report.escalated,
-            thresholds=thresholds,
-        )
 
     def _fast_batch_counts(
         self, seed_indices: np.ndarray, candidates: np.ndarray
@@ -322,22 +249,16 @@ class SynthesisMechanism:
 
         Returns ``None`` when the fast path does not apply: early-termination
         knobs request subset scans, or the model does not expose the
-        match-structure interface.
+        match-structure interface (``omegas`` and
+        ``candidate_factor_suffix_products``).
         """
         params = self._params
         if params.max_check_plausible is not None or params.max_plausible is not None:
             return None
-        if not (
-            hasattr(self._model, "fixed_prefix_keys")
-            and hasattr(self._model, "candidate_factor_suffix_products")
-            and hasattr(self._model, "omegas")
-        ):
+        if not _has_match_structure(self._model):
             return None
-        if self._match_index is None:
-            self._match_index = _SeedMatchIndex(self._model, self._seeds.data)
+        self.prepare()
         index = self._match_index
-        if not index.supported:
-            return None
 
         omegas = index.omegas
         num_omegas = len(omegas)
@@ -350,16 +271,17 @@ class SynthesisMechanism:
         # probability is the suffix sum of the candidate factors.
         class_probabilities = np.cumsum(factors[::-1], axis=0)[::-1] / num_omegas
 
-        seed_rows = self._seeds.data[seed_indices]
+        candidate_keys = index.prefix_keys(candidates)
+        seed_keys = index.prefix_keys(self._seeds.data[seed_indices])
         cumulative_matches = np.empty((num_omegas, num_candidates), dtype=np.int64)
         seed_matches = np.empty((num_omegas, num_candidates), dtype=bool)
         for j, omega in enumerate(omegas):
-            keys = self._model.fixed_prefix_keys(candidates, omega)
+            keys = candidate_keys[omega]
             sorted_keys = index.sorted_keys[omega]
             left = np.searchsorted(sorted_keys, keys, side="left")
             right = np.searchsorted(sorted_keys, keys, side="right")
             cumulative_matches[j] = right - left
-            seed_matches[j] = self._model.fixed_prefix_keys(seed_rows, omega) == keys
+            seed_matches[j] = seed_keys[omega] == keys
         # Prefix nesting makes the cumulative match counts monotone in j;
         # differencing yields the exact per-class counts.
         class_counts = np.diff(cumulative_matches, axis=0, prepend=0)

@@ -188,10 +188,7 @@ class SynthesisPipeline:
             self._baseline_accountant = artifact["baseline_accountant"]
             self._rng.bit_generator.state = artifact["rng_state"]
             self._mechanism = SynthesisMechanism(
-                self._model,
-                self._splits.seeds,
-                self._config.privacy,
-                approximate=self._config.approximate,
+                self._model, self._splits.seeds, self._config.privacy
             )
             self._timings.model_learning_seconds += time.perf_counter() - start
             return self
@@ -220,8 +217,7 @@ class SynthesisPipeline:
             rng=self._rng,
         )
         self._mechanism = SynthesisMechanism(
-            self._model, self._splits.seeds, config.privacy,
-            approximate=config.approximate,
+            self._model, self._splits.seeds, config.privacy
         )
         if key is not None:
             self._run_store.save_artifact(
@@ -292,7 +288,6 @@ class SynthesisPipeline:
                 batch_size=batch_size,
                 run_store=self._run_store,
                 max_chunk_retries=self._config.max_chunk_retries,
-                approximate=self._config.approximate,
             ) as engine:
                 report = engine.generate(
                     num_records,

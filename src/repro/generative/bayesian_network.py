@@ -316,35 +316,6 @@ class BayesianNetworkSynthesizer(SeedBasedGenerativeModel):
             total += self.batch_seed_probabilities_with_omega(matrix, candidate, omega)
         return total / len(self._omegas)
 
-    def fixed_prefix_keys(self, records: np.ndarray, omega: int) -> np.ndarray | None:
-        """Mixed-radix key of each record's fixed-attribute values for one ω.
-
-        Two records agree on the copied (fixed) attributes of ω iff their keys
-        are equal, which turns the plausible-seed match count into a key
-        multiplicity query (sort the seed keys once, ``searchsorted`` per
-        candidate batch) instead of an O(candidates x seeds) comparison.
-        Returns ``None`` when the key would overflow int64 (callers fall back
-        to the dense probability-matrix path).
-        """
-        matrix = np.asarray(records, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._schema):
-            raise ValueError(
-                f"records must be a 2-D array with {len(self._schema)} columns, "
-                f"got shape {matrix.shape}"
-            )
-        fixed = self._fixed_attributes(omega)
-        if not fixed:
-            return np.zeros(matrix.shape[0], dtype=np.int64)
-        radix_product = 1
-        for attribute in fixed:
-            radix_product *= self._schema[attribute].cardinality
-        if radix_product >= 2**62:
-            return None
-        keys = np.zeros(matrix.shape[0], dtype=np.int64)
-        for attribute in fixed:
-            keys = keys * self._schema[attribute].cardinality + matrix[:, attribute]
-        return keys
-
     def candidate_factors_batch(self, candidates: np.ndarray, omega: int) -> np.ndarray:
         """Vectorized q(y) over every row of ``candidates`` for a fixed ω."""
         matrix = np.asarray(candidates, dtype=np.int64)

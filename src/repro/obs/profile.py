@@ -1,7 +1,7 @@
 """Per-phase profiling hooks with a strict no-op fast path.
 
-The hot paths (``SynthesisMechanism.propose_batch``, the engine's merge,
-the approximate privacy test) call :func:`phase` unconditionally.  Unless
+The hot paths (``SynthesisMechanism.propose_batch``, the engine's merge)
+call :func:`phase` unconditionally.  Unless
 a :class:`PhaseProfile` has been activated for the *current thread* via
 :func:`profiled`, the context manager yields immediately without reading
 the clock — so worker processes (which never activate a profile) and

@@ -127,17 +127,9 @@ class Telemetry:
             "repro_privacy_records_available_total",
             "Seed records an exact scan would have examined.",
         )
-        self.privacy_escalations_total = m.counter(
-            "repro_privacy_escalations_total",
-            "Approximate-test candidates escalated to the exact scan.",
-        )
         self.privacy_scan_fraction = m.gauge(
             "repro_privacy_scan_fraction",
             "records_checked / records_available since start.",
-        )
-        self.privacy_escalation_rate = m.gauge(
-            "repro_privacy_escalation_rate",
-            "Escalations per tested candidate since start.",
         )
         # Budget spend.
         self.tenant_rows_spent_total = m.counter(

@@ -110,9 +110,7 @@ class PrivacyTestResult:
     """Outcome of running a privacy test on one candidate synthetic record.
 
     ``count_saturated`` marks counts capped at ``max_plausible`` (the true
-    bucket population is at least ``plausible_seeds``).  ``escalated`` marks
-    candidates whose approximate-mode sample straddled the threshold and fell
-    back to the exact scan (always ``False`` on the exact paths).
+    bucket population is at least ``plausible_seeds``).
     """
 
     passed: bool
@@ -121,7 +119,6 @@ class PrivacyTestResult:
     threshold: float
     records_checked: int
     count_saturated: bool = False
-    escalated: bool = False
 
     def __bool__(self) -> bool:
         return self.passed
@@ -399,10 +396,6 @@ class DeterministicPrivacyTest:
         )
         return self.results_from_counts(counts, partitions, checked, saturated=saturated)
 
-    def thresholds(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """The per-candidate pass thresholds: the constant k, no randomness."""
-        return np.full(count, float(self._params.k))
-
     def results_from_counts(
         self,
         counts: np.ndarray,
@@ -411,8 +404,6 @@ class DeterministicPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-        escalated: np.ndarray | None = None,
-        thresholds: np.ndarray | None = None,
     ) -> list[PrivacyTestResult]:
         """Build per-candidate results from already-computed plausible counts."""
         params = self._params
@@ -424,7 +415,6 @@ class DeterministicPrivacyTest:
                 threshold=float(params.k),
                 records_checked=int(checked[index]),
                 count_saturated=bool(saturated[index]) if saturated is not None else False,
-                escalated=bool(escalated[index]) if escalated is not None else False,
             )
             for index in range(len(counts))
         ]
@@ -497,20 +487,6 @@ class RandomizedPrivacyTest:
         )
         return self.results_from_counts(counts, partitions, checked, rng, saturated=saturated)
 
-    def thresholds(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Draw the per-candidate Laplace-noised thresholds.
-
-        Exposed so the approximate path can draw the *same* thresholds from
-        the *same* stream position as :meth:`results_from_counts` would, then
-        decide early / escalate against them.
-        """
-        params = self._params
-        if rng is None:
-            raise ValueError("the batched randomized test requires an rng")
-        assert params.epsilon0 is not None
-        # Accounted per Theorem 1 at release time.  # repro: allow[privacy-unrecorded-noise]
-        return params.k + laplace_noise(1.0 / params.epsilon0, rng, size=count)
-
     def results_from_counts(
         self,
         counts: np.ndarray,
@@ -519,17 +495,14 @@ class RandomizedPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-        escalated: np.ndarray | None = None,
-        thresholds: np.ndarray | None = None,
     ) -> list[PrivacyTestResult]:
-        """Build per-candidate results, drawing one Laplace threshold each.
-
-        ``thresholds`` short-circuits the draw when the caller already drew
-        them via :meth:`thresholds` (the approximate path); passing both the
-        pre-drawn thresholds and an rng never double-draws.
-        """
-        if thresholds is None:
-            thresholds = self.thresholds(len(counts), rng)
+        """Build per-candidate results, drawing one Laplace threshold each."""
+        params = self._params
+        if rng is None:
+            raise ValueError("the batched randomized test requires an rng")
+        assert params.epsilon0 is not None
+        # Accounted per Theorem 1 at release time.  # repro: allow[privacy-unrecorded-noise]
+        thresholds = params.k + laplace_noise(1.0 / params.epsilon0, rng, size=len(counts))
         return [
             PrivacyTestResult(
                 passed=bool(counts[index] >= thresholds[index]),
@@ -538,7 +511,6 @@ class RandomizedPrivacyTest:
                 threshold=float(thresholds[index]),
                 records_checked=int(checked[index]),
                 count_saturated=bool(saturated[index]) if saturated is not None else False,
-                escalated=bool(escalated[index]) if escalated is not None else False,
             )
             for index in range(len(counts))
         ]

@@ -63,7 +63,6 @@ from repro.core.engine import (
 from repro.core.results import SynthesisReport
 from repro.obs import Telemetry
 from repro.obs.profile import profiled
-from repro.privacy.approximate import ApproximateTestConfig
 from repro.service.engine_pool import EnginePool
 from repro.service.journal import BudgetJournal, read_journal
 from repro.service.registry import ModelRegistry, PublishedModel
@@ -330,7 +329,7 @@ class ServiceApp:
             self._obs = Telemetry(trace_log=trace_log)
         else:
             self._obs = None
-        # Per-engine-key seed-record counts, written once at engine build and
+        # Per-model seed-record counts, written once at engine build and
         # read at privacy-span time to derive scan fractions.
         self._seed_counts: dict[str, int] = {}  # repro: guarded-by[_lock]
         # Thread-local fold context: the dispatcher thread running a folded
@@ -489,7 +488,6 @@ class ServiceApp:
                 "delta",
                 "max_rows",
                 "min_k",
-                "accuracy",
             }
             if unknown:
                 raise ServiceError(
@@ -549,35 +547,12 @@ class ServiceApp:
     # ------------------------------------------------------------------ #
     # Generation
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def engine_key(model_id: str, accuracy: str) -> str:
-        """The pool key of a model's engine under one accuracy contract.
-
-        Exact and approximate sessions against the same model run on
-        *separate* pooled engines (the approximate engine carries the
-        sampling test config), keyed by a ``#approx`` suffix.  The pool and
-        scheduler treat the key opaquely; only :meth:`_build_engine` parses
-        it.
-        """
-        return model_id + "#approx" if accuracy == "approximate" else model_id
-
-    def _build_engine(self, engine_key: str) -> SynthesisEngine:
-        """:class:`EnginePool` builder: a fresh engine for a published model.
-
-        ``engine_key`` is ``<model_id>`` or ``<model_id>#approx`` (see
-        :meth:`engine_key`).  The approximate variant forces an
-        :class:`~repro.privacy.approximate.ApproximateTestConfig` — the
-        pipeline config's, or the defaults when the model was published
-        without one.
-        """
-        model_id, _, variant = engine_key.partition("#")
+    def _build_engine(self, model_id: str) -> SynthesisEngine:
+        """:class:`EnginePool` builder: a fresh engine for a published model."""
         model = self._registry.get(model_id)
         config = model.pipeline.config
-        approximate = config.approximate
-        if variant == "approx":
-            approximate = approximate or ApproximateTestConfig()
         with self._lock:
-            self._seed_counts[engine_key] = len(model.pipeline.splits.seeds)
+            self._seed_counts[model_id] = len(model.pipeline.splits.seeds)
         return SynthesisEngine(
             model.pipeline.model,
             model.pipeline.splits.seeds,
@@ -586,7 +561,6 @@ class ServiceApp:
             chunk_size=config.chunk_size,
             batch_size=config.batch_size,
             max_chunk_retries=config.max_chunk_retries,
-            approximate=approximate,
             event_sink=self._engine_event if self._obs is not None else None,
         )
 
@@ -676,7 +650,7 @@ class ServiceApp:
 
     def _record_fold_telemetry(
         self,
-        engine_key: str,
+        model_id: str,
         requests: list[GenerateRequest],
         reports: list[SynthesisReport],
         fold_start: float,
@@ -687,9 +661,8 @@ class ServiceApp:
         obs = self._obs
         assert obs is not None
         fold_end = obs.clock.monotonic()
-        path = "approximate" if engine_key.endswith("#approx") else "exact"
         with self._lock:
-            num_seeds = self._seed_counts.get(engine_key, 0)
+            num_seeds = self._seed_counts.get(model_id, 0)
         phases = profile.snapshot()
         for lane, (request, report) in enumerate(zip(requests, reports)):
             fold_span = obs.tracer.record_span(
@@ -699,7 +672,7 @@ class ServiceApp:
                 end=fold_end,
                 parent_id=request.trace_parent,
                 attrs={
-                    "engine_key": engine_key,
+                    "model": model_id,
                     "lanes": len(requests),
                     "lane_index": lane,
                     "phases": phases,
@@ -734,12 +707,9 @@ class ServiceApp:
                 )
             attempts = getattr(report, "attempts", None) or ()
             checked = sum(a.test.records_checked for a in attempts)
-            escalations = sum(1 for a in attempts if a.test.escalated)
             test_attrs = {
-                "path": path,
                 "test_attempts": len(attempts),
                 "records_checked": checked,
-                "escalations": escalations,
             }
             if num_seeds and attempts:
                 available = len(attempts) * num_seeds
@@ -878,10 +848,9 @@ class ServiceApp:
             if self._deadline_ms is not None
             else None
         )
-        engine_key = self.engine_key(model.model_id, session.budget.accuracy)
         request = GenerateRequest(
             request_id=request_id,
-            model_id=engine_key,
+            model_id=model.model_id,
             num_rows=rows,
             base_seed=base_seed,
             max_attempts=max_attempts,
@@ -939,7 +908,6 @@ class ServiceApp:
                 "request_id": request_id,
                 "session_id": session_id,
                 "model_id": model.model_id,
-                "engine_key": engine_key,
                 "base_seed": base_seed,
                 "requested_rows": rows,
                 "released_rows": report.num_released,
@@ -968,9 +936,10 @@ class ServiceApp:
             return record
         request = GenerateRequest(
             request_id=meta["request_id"],
-            # Pre-approximate journals carry no engine_key; their releases
-            # were generated on the plain (exact) engine.
-            model_id=meta.get("engine_key") or meta["model_id"],
+            # Older journals also carry an ``engine_key`` naming an engine
+            # variant of the model; it is ignored, because every variant
+            # released the same rows as the model's one engine.
+            model_id=meta["model_id"],
             num_rows=int(meta["requested_rows"]),
             base_seed=int(meta["base_seed"]),
             max_attempts=meta.get("max_attempts"),
@@ -1035,8 +1004,6 @@ class ServiceApp:
             "privacy_test": {
                 "records_checked": stats.records_checked,
                 "test_attempts": stats.test_attempts,
-                "escalations": stats.escalations,
-                "escalation_rate": stats.escalation_rate,
             },
             "telemetry": (
                 {"enabled": True, "phases": self._obs.phase_summary()}
@@ -1065,7 +1032,7 @@ class ServiceApp:
         """The Prometheus text exposition of the metrics registry.
 
         Point-in-time gauges (queue depth, utilization, scan fraction,
-        escalation rate, fit-cache hit counters) are refreshed from their
+        fit-cache hit counters) are refreshed from their
         sources at scrape time; everything else is event-driven.
         """
         obs = self._obs
@@ -1076,7 +1043,6 @@ class ServiceApp:
         stats = self._scheduler.stats()
         obs.queue_depth.set(self._scheduler.queue_depth())
         obs.engine_utilization.set(stats.utilization)
-        obs.privacy_escalation_rate.set(stats.escalation_rate)
         available = obs.privacy_records_available_total.value()
         obs.privacy_scan_fraction.set(
             stats.records_checked / available if available else 0.0
@@ -1164,7 +1130,10 @@ class ServiceApp:
         created: dict,
         events: list[dict],
     ) -> TenantSession:
-        budget_fields = created.get("budget") or {}
+        # Journals written while sessions had an accuracy contract carry a
+        # stale ``accuracy`` field; every session now runs the exact test.
+        budget_fields = dict(created.get("budget") or {})
+        budget_fields.pop("accuracy", None)
         session = TenantSession(
             session_id=created["session_id"],
             tenant=created.get("tenant", "default"),

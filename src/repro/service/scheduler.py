@@ -36,7 +36,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.results import SynthesisReport
@@ -110,10 +110,7 @@ class SchedulerStats:
 
     The privacy-test counters aggregate over every attempt of every
     completed report: ``records_checked`` is the total seed records the
-    test examined, ``test_attempts`` the candidates tested, and
-    ``escalations`` how many of those were escalated from the approximate
-    sampling path to the exact scan (``escalation_rate`` = escalations /
-    ``test_attempts``; always 0.0 on the exact path, where nothing escalates).
+    test examined and ``test_attempts`` the candidates tested.
     """
 
     submitted: int = 0
@@ -122,7 +119,6 @@ class SchedulerStats:
     batches: int = 0
     max_batch: int = 0
     coalesced: int = 0  # requests that shared a fold with at least one other
-    batch_sizes: list[int] = field(default_factory=list)
     rejected: int = 0  # admission refusals (queue at max_queue_depth)
     expired: int = 0  # requests dropped at dispatch for a passed deadline
     folded_lanes: int = 0  # requests actually executed as fold lanes
@@ -135,8 +131,6 @@ class SchedulerStats:
     utilization: float = 0.0  # engine_busy_seconds / scheduler uptime
     records_checked: int = 0  # seed records examined by the privacy test
     test_attempts: int = 0  # candidates privacy-tested across all reports
-    escalations: int = 0  # approximate-test candidates escalated to exact
-    escalation_rate: float = 0.0  # escalations / test_attempts
 
 
 def _serial_fold(
@@ -343,13 +337,16 @@ class RequestScheduler:
                 batches=batches,
                 max_batch=self._stats.max_batch,
                 coalesced=self._stats.coalesced,
-                batch_sizes=list(self._stats.batch_sizes),
                 rejected=self._stats.rejected,
                 expired=self._stats.expired,
                 folded_lanes=self._stats.folded_lanes,
                 dropped_before_fold=self._stats.dropped_before_fold,
+                # Every drained request is either folded or dropped.
                 fold_factor=(
-                    sum(self._stats.batch_sizes) / batches if batches else 0.0
+                    (self._stats.folded_lanes + self._stats.dropped_before_fold)
+                    / batches
+                    if batches
+                    else 0.0
                 ),
                 queue_wait_seconds=self._stats.queue_wait_seconds,
                 max_queue_wait=self._stats.max_queue_wait,
@@ -360,12 +357,6 @@ class RequestScheduler:
                 ),
                 records_checked=self._stats.records_checked,
                 test_attempts=self._stats.test_attempts,
-                escalations=self._stats.escalations,
-                escalation_rate=(
-                    self._stats.escalations / self._stats.test_attempts
-                    if self._stats.test_attempts
-                    else 0.0
-                ),
             )
 
     def queue_depth(self) -> int:
@@ -425,7 +416,6 @@ class RequestScheduler:
                 depth = self._depth
                 self._stats.batches += 1
                 self._stats.max_batch = max(self._stats.max_batch, len(batch))
-                self._stats.batch_sizes.append(len(batch))
                 if len(batch) > 1:
                     self._stats.coalesced += len(batch)
             if self._obs is not None:
@@ -513,20 +503,14 @@ class RequestScheduler:
                     self._obs.requests_total.inc(status="failed")
                 future.set_exception(outcome)
             else:
-                checked = 0
-                escalated = 0
                 attempts = getattr(outcome, "attempts", None) or ()
-                for attempt in attempts:
-                    checked += attempt.test.records_checked
-                    escalated += bool(attempt.test.escalated)
+                checked = sum(attempt.test.records_checked for attempt in attempts)
                 with self._lock:
                     self._stats.completed += 1
                     self._stats.records_checked += checked
                     self._stats.test_attempts += len(attempts)
-                    self._stats.escalations += escalated
                 if self._obs is not None:
                     self._obs.requests_total.inc(status="completed")
                     self._obs.privacy_test_attempts_total.inc(len(attempts))
                     self._obs.privacy_records_checked_total.inc(checked)
-                    self._obs.privacy_escalations_total.inc(escalated)
                 future.set_result(outcome)

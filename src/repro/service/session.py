@@ -65,19 +65,12 @@ class SessionBudget:
     min_k:
         k-deniability floor: the session may only be opened against a model
         whose privacy test requires at least this many plausible seeds.
-    accuracy:
-        The session's accuracy contract for the privacy test: ``"exact"``
-        scans every seed record; ``"approximate"`` allows the bounded-latency
-        sampling test (release decisions stay bit-identical to exact — the
-        contract governs latency and the ``records_checked`` accounting,
-        never which rows are released).
     """
 
     epsilon: float | None = None
     delta: float | None = None
     max_rows: int | None = None
     min_k: int = 1
-    accuracy: str = "exact"
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and self.epsilon < 0:
@@ -88,8 +81,6 @@ class SessionBudget:
             raise ValueError("budget max_rows must be non-negative")
         if self.min_k < 1:
             raise ValueError("min_k must be at least 1")
-        if self.accuracy not in ("exact", "approximate"):
-            raise ValueError("accuracy must be 'exact' or 'approximate'")
 
     def to_dict(self) -> dict:
         """Plain-JSON form for API responses and audit records."""
@@ -98,7 +89,6 @@ class SessionBudget:
             "delta": self.delta,
             "max_rows": self.max_rows,
             "min_k": self.min_k,
-            "accuracy": self.accuracy,
         }
 
 

@@ -226,19 +226,14 @@ def check_batched_mechanism_parity(
     its seed).  Plausible-seed counts, scanned-record counts and the
     ``count_saturated`` flag are compared unless ``max_check_plausible``
     limits the scan (the scanned subset is then an independent rng draw on
-    each path, so they are distributionally but not pointwise equal) or the
-    mechanism runs its approximate sampling path (early-decided counts are
-    lower bounds, not exact tallies).  Pass/fail decisions are additionally
-    compared whenever the test is deterministic and scans are unrestricted —
-    including under ``max_plausible`` (both paths cap identically) and in
-    approximate mode (whose release decisions must be bit-identical to
-    exact).  Returns the batched attempts.
+    each path, so they are distributionally but not pointwise equal).
+    Pass/fail decisions are additionally compared whenever the test is
+    deterministic and scans are unrestricted — including under
+    ``max_plausible`` (both paths cap identically).  Returns the batched
+    attempts.
     """
     params = mechanism.params
-    approximate_active = bool(
-        getattr(mechanism, "_approximate_active", lambda: False)()
-    )
-    counts_are_pure = params.max_check_plausible is None and not approximate_active
+    counts_are_pure = params.max_check_plausible is None
     decisions_are_pure = (
         not params.is_randomized and params.max_check_plausible is None
     )

@@ -149,21 +149,6 @@ class TestRngMissingParam:
         )
         assert "rng-missing-param" not in rules_fired(source)
 
-    def test_stratified_sampler_without_rng_flagged(self):
-        source = (
-            "def pick_records(num_records, size):\n"
-            "    gen = make_stream()\n"
-            "    return stratified_sample_indices(num_records, size, gen)\n"
-        )
-        assert "rng-missing-param" in rules_fired(source)
-
-    def test_stratified_sampler_with_rng_clean(self):
-        source = (
-            "def pick_records(num_records, size, rng):\n"
-            "    return stratified_sample_indices(num_records, size, rng)\n"
-        )
-        assert "rng-missing-param" not in rules_fired(source)
-
 
 # --------------------------------------------------------------------------- #
 # privacy family

@@ -8,10 +8,18 @@ through the shared conformance checker
 (:func:`repro.testing.invariants.check_batched_mechanism_parity`).
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.mechanism import SynthesisMechanism
+from repro.core.mechanism import SynthesisMechanism, _SeedMatchIndex
+from repro.datasets.dataset import Dataset
+from repro.datasets.schema import Attribute, AttributeType, Schema
+from repro.generative.bayesian_network import BayesianNetworkSynthesizer
+from repro.generative.builder import GenerativeModelSpec, fit_bayesian_network
+from repro.generative.structure import DependencyStructure
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
     batch_plausible_seed_counts,
@@ -28,15 +36,61 @@ def det_mechanism(unnoised_model, acs_splits):
 
 
 @pytest.fixture(scope="module")
+def acs_seeds(acs_splits):
+    return acs_splits.seeds
+
+
+@pytest.fixture(scope="module")
 def omega_set_model(unnoised_model):
     """The fitted network re-wrapped with an ω *set* ("ω ∈R [5-11]")."""
-    from repro.generative.bayesian_network import BayesianNetworkSynthesizer
-
     return BayesianNetworkSynthesizer(
         unnoised_model.schema,
         unnoised_model.structure,
         unnoised_model.tables,
         omega=(5, 7, 9, 11),
+    )
+
+
+#: 30 attributes of cardinality 8: the longest fixed prefix spans 27 of them,
+#: a radix product of 2^81, so prefix keys must be rank-compressed.
+WIDE_ATTRIBUTES = 30
+WIDE_CARDINALITY = 8
+WIDE_OMEGAS = (3, 6, 12)
+
+
+@pytest.fixture(scope="module")
+def wide_seeds():
+    """Seeds drawn from a few templates, so prefix classes hold many seeds.
+
+    Value 7 never occurs, which lets a test build prefixes no seed has.
+    """
+    rng = np.random.default_rng(21)
+    schema = Schema(
+        [
+            Attribute(f"a{index}", AttributeType.CATEGORICAL, tuple(range(WIDE_CARDINALITY)))
+            for index in range(WIDE_ATTRIBUTES)
+        ]
+    )
+    templates = rng.integers(WIDE_CARDINALITY - 1, size=(4, WIDE_ATTRIBUTES))
+    data = templates[rng.integers(len(templates), size=600)]
+    noise = rng.random(data.shape) < 0.02
+    data[noise] = rng.integers(WIDE_CARDINALITY - 1, size=int(noise.sum()))
+    return Dataset(schema, data)
+
+
+@pytest.fixture(scope="module")
+def wide_model(wide_seeds):
+    """A non-private chain network over a shuffled re-sampling order."""
+    order = np.random.default_rng(22).permutation(WIDE_ATTRIBUTES)
+    structure = DependencyStructure.from_parent_map(
+        {int(child): (int(parent),) for parent, child in zip(order, order[1:])},
+        WIDE_ATTRIBUTES,
+    )
+    spec = GenerativeModelSpec(
+        omega=WIDE_OMEGAS, epsilon_structure=None, epsilon_parameters=None
+    )
+    return fit_bayesian_network(
+        wide_seeds, wide_seeds, spec=spec, structure=structure, rng=np.random.default_rng(23)
     )
 
 
@@ -250,21 +304,30 @@ class TestMechanismBatchEquivalence:
 class TestFastCountEquivalence:
     """The prefix-key fast path must reproduce the dense-matrix counts exactly."""
 
-    @pytest.mark.parametrize("model_fixture", ["unnoised_model", "omega_set_model"])
+    @pytest.mark.parametrize(
+        "model_fixture, seeds_fixture",
+        [
+            ("unnoised_model", "acs_seeds"),
+            ("omega_set_model", "acs_seeds"),
+            ("wide_model", "wide_seeds"),
+        ],
+        ids=["unnoised_model", "omega_set_model", "wide_model"],
+    )
     def test_fast_counts_match_matrix_counts(
-        self, model_fixture, acs_splits, rng, request
+        self, model_fixture, seeds_fixture, rng, request
     ):
         model = request.getfixturevalue(model_fixture)
+        seeds = request.getfixturevalue(seeds_fixture)
         mechanism = SynthesisMechanism(
-            model, acs_splits.seeds, PlausibleDeniabilityParams(k=20, gamma=4.0)
+            model, seeds, PlausibleDeniabilityParams(k=20, gamma=4.0)
         )
-        seed_indices = rng.integers(len(acs_splits.seeds), size=60)
-        candidates = model.generate_batch(acs_splits.seeds.data[seed_indices], rng)
+        seed_indices = rng.integers(len(seeds), size=60)
+        candidates = model.generate_batch(seeds.data[seed_indices], rng)
 
         fast = mechanism._fast_batch_counts(seed_indices, candidates)
         assert fast is not None
 
-        matrix = model.batch_probability_matrix(acs_splits.seeds.data, candidates)
+        matrix = model.batch_probability_matrix(seeds.data, candidates)
         seed_probabilities = matrix[np.arange(60), seed_indices]
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
             seed_probabilities, matrix, gamma=4.0
@@ -292,3 +355,172 @@ class TestFastCountEquivalence:
             omega_set_model, acs_splits.seeds, PlausibleDeniabilityParams(k=20, gamma=4.0)
         )
         check_batched_mechanism_parity(mechanism, rng, batch_size=40)
+
+
+class TestWideSchemaIndex:
+    """The prefix-key index serves schemas whose keys overflow a plain radix."""
+
+    @pytest.mark.parametrize("epsilon0", [None, 1.0], ids=["deterministic", "randomized"])
+    def test_propose_batch_never_builds_the_dense_matrix(
+        self, wide_model, wide_seeds, epsilon0, monkeypatch
+    ):
+        mechanism = SynthesisMechanism(
+            wide_model,
+            wide_seeds,
+            PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=epsilon0),
+        )
+
+        def dense_matrix(self, seeds, candidates):
+            raise AssertionError("the dense probability matrix was built")
+
+        monkeypatch.setattr(
+            BayesianNetworkSynthesizer, "batch_probability_matrix", dense_matrix
+        )
+        attempts = check_batched_mechanism_parity(
+            mechanism, np.random.default_rng(24), batch_size=80
+        )
+        # The radix overflowed and was compressed, yet releases happen.
+        assert mechanism._match_index._ranks
+        assert any(attempt.test.passed for attempt in attempts)
+
+    def test_multiplicities_match_brute_force_and_absent_prefixes_count_zero(
+        self, wide_model, wide_seeds, rng
+    ):
+        mechanism = SynthesisMechanism(
+            wide_model, wide_seeds, PlausibleDeniabilityParams(k=10, gamma=4.0)
+        )
+        index = mechanism.prepare()._match_index
+        order = list(wide_model.structure.order)
+        seeds = wide_seeds.data
+        # 8^20 * 8 >= 2^62: the key of the first 20 σ-attributes is replaced
+        # by its rank.  Value 7 occurs in no seed, so a 7 at σ-position 19
+        # gives a 20-prefix no seed has that sorts right after a present one
+        # (and, for the largest prefix, after every one); the candidate then
+        # copies the σ-suffix of the seed whose rank it must not borrow.
+        sigma = seeds[:, order]
+        present = np.unique(sigma[:, :20], axis=0)
+        split = next(
+            i for i in range(len(present) - 1)
+            if not np.array_equal(present[i, :19], present[i + 1, :19])
+        )
+        crafted = []
+        for before, after in [(present[split], present[split + 1]), (present[-1], present[-1])]:
+            donor = sigma[np.all(sigma[:, :20] == after, axis=1)][0]
+            row = np.concatenate([before[:19], [WIDE_CARDINALITY - 1], donor[20:]])
+            record = np.empty(WIDE_ATTRIBUTES, dtype=np.int64)
+            record[order] = row
+            crafted.append(record)
+        # A 7 at σ-position 0 empties every ω's prefix class.
+        absent_everywhere = seeds[0].copy()
+        absent_everywhere[order[0]] = WIDE_CARDINALITY - 1
+        candidates = np.vstack(
+            [wide_model.generate_batch(seeds[:40], rng), *crafted, absent_everywhere]
+        )
+
+        keys = index.prefix_keys(candidates)
+        for omega in WIDE_OMEGAS:
+            sorted_keys = index.sorted_keys[omega]
+            counts = np.searchsorted(sorted_keys, keys[omega], side="right") - np.searchsorted(
+                sorted_keys, keys[omega], side="left"
+            )
+            fixed = order[: WIDE_ATTRIBUTES - omega]
+            expected = [
+                int(np.all(seeds[:, fixed] == candidate[fixed], axis=1).sum())
+                for candidate in candidates
+            ]
+            np.testing.assert_array_equal(counts, expected)
+            assert counts[-1] == 0
+            if WIDE_ATTRIBUTES - omega > 19:
+                assert not counts[-3:].any()
+
+        counts, _, _, _ = mechanism._fast_batch_counts(
+            np.array([0]), absent_everywhere[None, :]
+        )
+        assert counts[0] == 0
+
+
+def _encoder_case(cardinalities, omegas, seed):
+    """A match-structure stub, seeds that avoid each attribute's top value
+    (when it has more than one), and records drawn from the full domain."""
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        [
+            Attribute(f"e{index}", AttributeType.CATEGORICAL, tuple(range(cardinality)))
+            for index, cardinality in enumerate(cardinalities)
+        ]
+    )
+    model = SimpleNamespace(
+        omegas=omegas,
+        schema=schema,
+        structure=SimpleNamespace(order=tuple(rng.permutation(len(cardinalities)))),
+    )
+    highs = np.array(cardinalities)
+    seed_highs = np.maximum(highs - 1, 1)
+    templates = rng.integers(seed_highs, size=(6, len(cardinalities)))
+    seeds = templates[rng.integers(len(templates), size=300)]
+    noise = rng.random(seeds.shape) < 0.05
+    seeds[noise] = rng.integers(seed_highs, size=seeds.shape)[noise]
+    # Half the records share a seed's prefix region, half are arbitrary.
+    records = np.vstack([seeds[:100].copy(), rng.integers(highs, size=(100, len(highs)))])
+    tweak = rng.random(records[:100].shape) < 0.03
+    records[:100][tweak] = rng.integers(highs, size=records[:100].shape)[tweak]
+    return model, seeds, records
+
+
+#: ``mixed``: 24 attributes of cardinality 1-9 (radix product about 2^55);
+#: ``binary``: 70 binary attributes (2^70, so the native limit compresses).
+ENCODER_SCHEMAS = {
+    "mixed": (
+        tuple(int(c) for c in np.random.default_rng(31).integers(1, 10, size=24)),
+        (2, 5, 5, 11),
+    ),
+    "binary": ((2,) * 70, (1, 4, 30)),
+}
+ENCODER_LIMITS = {"native": 2**62, "2^16": 2**16, "2^6": 2**6, "always": 2}
+
+
+class TestPrefixKeyEncoder:
+    """Prefix keys identify fixed prefixes exactly at every compression depth."""
+
+    @pytest.mark.parametrize("limit", ENCODER_LIMITS.values(), ids=ENCODER_LIMITS)
+    @pytest.mark.parametrize("schema", ENCODER_SCHEMAS)
+    def test_seed_keys_equal_iff_prefixes_equal(self, schema, limit, monkeypatch):
+        monkeypatch.setattr("repro.core.mechanism._KEY_LIMIT", limit)
+        cardinalities, omegas = ENCODER_SCHEMAS[schema]
+        model, seeds, _ = _encoder_case(cardinalities, omegas, seed=32)
+        index = _SeedMatchIndex(model, seeds)
+        keys = index.prefix_keys(seeds)
+        order = list(model.structure.order)
+        for omega in set(omegas):
+            prefixes = seeds[:, order[: len(cardinalities) - omega]]
+            distinct_prefixes = len(np.unique(prefixes, axis=0))
+            pairs = np.column_stack([keys[omega], prefixes])
+            assert len(np.unique(keys[omega])) == distinct_prefixes
+            assert len(np.unique(pairs, axis=0)) == distinct_prefixes
+            np.testing.assert_array_equal(index.sorted_keys[omega], np.sort(keys[omega]))
+
+    @pytest.mark.parametrize("limit", ENCODER_LIMITS.values(), ids=ENCODER_LIMITS)
+    @pytest.mark.parametrize("schema", ENCODER_SCHEMAS)
+    def test_record_multiplicities_match_brute_force(self, schema, limit, monkeypatch):
+        monkeypatch.setattr("repro.core.mechanism._KEY_LIMIT", limit)
+        cardinalities, omegas = ENCODER_SCHEMAS[schema]
+        model, seeds, records = _encoder_case(cardinalities, omegas, seed=33)
+        index = _SeedMatchIndex(model, seeds)
+        order = list(model.structure.order)
+        longest_prefix = order[: len(cardinalities) - min(omegas)]
+        radix_product = math.prod(cardinalities[column] for column in longest_prefix)
+        assert bool(index._ranks) == (radix_product >= limit)
+        keys = index.prefix_keys(records)
+        for omega in set(omegas):
+            fixed = order[: len(cardinalities) - omega]
+            sorted_keys = index.sorted_keys[omega]
+            counts = np.searchsorted(sorted_keys, keys[omega], side="right") - np.searchsorted(
+                sorted_keys, keys[omega], side="left"
+            )
+            expected = [
+                int(np.all(seeds[:, fixed] == record[fixed], axis=1).sum())
+                for record in records
+            ]
+            np.testing.assert_array_equal(counts, expected)
+            # Both regimes occur: shared prefixes and prefixes no seed has.
+            assert (counts > 0).any() and (counts == 0).any()

@@ -92,6 +92,57 @@ class TestPartitionNumber:
             assert 1.0 / gamma - 1e-9 <= ratio <= gamma + 1e-9
 
 
+class TestPartitionBoundaryGrid:
+    """Property test: γ^-i lands exactly in bucket i on the edge.
+
+    Definition 1 buckets are γ^-(i+1) < Pr <= γ^-i, so a probability exactly
+    on the grid must snap *up* into bucket i, at every representable depth.
+    The scalar path must agree with the vectorized path everywhere — it
+    delegates, and this pins that contract.
+    """
+
+    GAMMAS = (1.5, 2.0, 3.0, 4.0, 10.0)
+
+    @staticmethod
+    def _grid(gamma: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        indices, probabilities = [], []
+        i = 0
+        while True:
+            p = gamma ** -float(i)
+            if p < floor or p == 0.0:
+                break
+            indices.append(i)
+            probabilities.append(p)
+            i += 1
+        return np.array(indices), np.array(probabilities, dtype=np.float64)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_edges_snap_up_through_the_normal_range(self, gamma):
+        # Down to the smallest *normal* float64; in the subnormal tail the
+        # float grid γ^-i itself loses precision for non-dyadic γ, so no
+        # exactness claim is possible there.
+        indices, probabilities = self._grid(gamma, np.finfo(np.float64).tiny)
+        assert indices.size > 300  # the grid really spans the float range
+        assert np.array_equal(partition_numbers(probabilities, gamma), indices)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_scalar_equals_vectorized_everywhere(self, gamma):
+        # Including the subnormal tail: whatever the vectorized path says,
+        # the scalar path must say bit-identically, since it delegates.
+        indices, probabilities = self._grid(gamma, 0.0)
+        vectorized = partition_numbers(probabilities, gamma)
+        scalar = np.array([partition_number(float(p), gamma) for p in probabilities])
+        assert np.array_equal(scalar, vectorized)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_bucket_interiors_classify_unambiguously(self, gamma):
+        # The geometric midpoint of (γ^-(i+1), γ^-i] is far from both edges,
+        # so no tolerance is involved: it must land in bucket i exactly.
+        for i in (0, 1, 5, 50, 300):
+            midpoint = gamma ** -(i + 0.5)
+            assert partition_number(midpoint, gamma) == i
+
+
 class TestPlausibleSeedCount:
     def test_counts_records_in_seed_partition(self):
         seed_probability = 0.4

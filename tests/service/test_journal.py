@@ -171,6 +171,53 @@ class TestRestartDurability:
 
 
 # --------------------------------------------------------------------------- #
+# Journals written before the privacy test had a single (exact) mode
+# --------------------------------------------------------------------------- #
+def _rewrite_as_legacy(journal) -> None:
+    """Give a journal the fields sessions with an accuracy contract wrote.
+
+    Sessions recorded ``"accuracy": "approximate"`` in their budget and
+    releases named the engine variant they ran on as ``<model>#approx``.
+    """
+    events = read_journal(journal)
+    for event in events:
+        if event["event"] == "session_created":
+            event["budget"]["accuracy"] = "approximate"
+        elif event["event"] == "release":
+            event["engine_key"] = event["model_id"] + "#approx"
+    journal.write_text(
+        "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
+    )
+
+
+class TestLegacyJournal:
+    def test_legacy_sessions_replay_onto_the_exact_engine(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        with make_app(journal) as app:
+            session_id = app.create_session(
+                "tiny", tenant="acme", budget={"max_rows": 10}
+            )["session_id"]
+            first = app.generate(session_id, rows=3, seed=5, idempotency_key="k1")
+            before = app.budget(session_id)
+        _rewrite_as_legacy(journal)
+
+        for _restart in range(2):
+            with make_app(journal) as app:
+                after = app.budget(session_id)
+                assert after["spent"] == before["spent"]
+                assert after["remaining"] == before["remaining"]
+                assert after["reserved"]["rows"] == 0
+                assert after["budget"] == before["budget"]
+                replayed = app.generate(
+                    session_id, rows=3, seed=5, idempotency_key="k1"
+                )
+                assert replayed.release_id == first.release_id
+                assert_reports_identical(first.report, replayed.report)
+                assert app.budget(session_id)["spent"] == before["spent"]
+                check_accountant_conservation(app._session(session_id).accountant)
+
+
+# --------------------------------------------------------------------------- #
 # Idempotent generate
 # --------------------------------------------------------------------------- #
 class TestIdempotency:

@@ -203,3 +203,13 @@ def test_k_deniability_floor_refuses_session_creation():
             app.create_session("tiny", budget={"min_k": 50})
         assert info.value.status == 409
         assert info.value.code == "k_floor_violation"
+
+
+def test_unknown_budget_keys_are_refused():
+    scenario = get_scenario("tiny-n")
+    with ServiceApp(ModelRegistry(), num_workers=1) as app:
+        app.publish_model("tiny", scenario.dataset(0), scenario.config())
+        with pytest.raises(ServiceError) as info:
+            app.create_session("tiny", budget={"max_rows": 5, "accuracy": "exact"})
+        assert info.value.status == 400
+        assert info.value.code == "bad_budget"

@@ -41,7 +41,6 @@ REQUIRED_METRICS = (
     "repro_pool_rebuilds_total",
     "repro_privacy_test_attempts_total",
     "repro_privacy_scan_fraction",
-    "repro_privacy_escalation_rate",
     "repro_tenant_rows_spent_total",
     "repro_phase_seconds_total",
 )
@@ -171,7 +170,6 @@ class TestHttpEndpoints:
         root = assert_single_tree(trace)
         assert root["name"] == "request"
         test_span = next(r for r in trace["spans"] if r["name"] == "privacy_test")
-        assert test_span["attrs"]["path"] in ("exact", "approximate")
         assert test_span["attrs"]["records_checked"] > 0
 
     def test_unknown_trace_404(self, live):

@@ -34,6 +34,10 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             build_config({"not_a_key": 1}, num_attributes=11)
 
+    def test_removed_sampling_test_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            build_config({"approximate": True}, num_attributes=11)
+
 
 class TestReleaseWarning:
     def test_zero_releases_produce_a_warning(self):

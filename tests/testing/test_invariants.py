@@ -213,27 +213,6 @@ class TestBatchedParityChecker:
                 mechanism, np.random.default_rng(5), batch_size=12
             )
 
-    def test_approximate_mechanism_decisions_still_compared(self):
-        # In approximate mode early-decided counts are lower bounds, so the
-        # checker must skip count comparison but still require bit-identical
-        # pass/fail decisions against the exact reference path.
-        from repro.core.mechanism import SynthesisMechanism
-        from repro.privacy.approximate import ApproximateTestConfig
-
-        fit = get_scenario("tiny-n").fit(seed=0)
-        mechanism = SynthesisMechanism(
-            fit.model,
-            fit.seeds,
-            fit.params,
-            approximate=ApproximateTestConfig(
-                initial_sample=16, min_records=1, strata=4
-            ),
-        )
-        attempts = check_batched_mechanism_parity(
-            mechanism, np.random.default_rng(7), batch_size=12
-        )
-        assert len(attempts) == 12
-
 
 class TestAccountantConservationChecker:
     def test_empty_ledger_passes_vacuously(self):
