@@ -10,9 +10,7 @@
 * :mod:`repro.core.engine` — the chunk-dispatching parallel synthesis engine
   (persistent shared-memory worker pool, until-N dispatch, checkpointing);
 * :mod:`repro.core.run_store` — disk-backed artifact store and run
-  checkpoints shared by the pipeline, the experiments and the CLI;
-* :mod:`repro.core.parallel` — one-call parallel generation facade over the
-  engine (Section 5 / Figure 5).
+  checkpoints shared by the pipeline, the experiments and the CLI.
 """
 
 from repro.core.config import GenerationConfig
@@ -23,7 +21,6 @@ from repro.core.engine import (
     SynthesisEngine,
 )
 from repro.core.mechanism import SynthesisMechanism
-from repro.core.parallel import generate_in_parallel
 from repro.core.pipeline import SynthesisPipeline
 from repro.core.results import SynthesisAttempt, SynthesisReport
 from repro.core.run_store import RunStore
@@ -39,5 +36,4 @@ __all__ = [
     "SynthesisPipeline",
     "SynthesisAttempt",
     "SynthesisReport",
-    "generate_in_parallel",
 ]

@@ -1,12 +1,8 @@
 """Persistent shared-memory parallel synthesis engine.
 
 The paper generates millions of plausibly-deniable synthetics by running many
-tool instances in parallel (Section 5, Figure 5).  The first-generation
-``generate_in_parallel`` reproduced that with a one-shot ``pool.map``: the
-whole model and seed matrix were pickled per task, attempts were split
-statically, and a run could not stop when a global release target was
-reached.  :class:`SynthesisEngine` replaces it with a long-lived execution
-layer:
+tool instances in parallel (Section 5, Figure 5).  :class:`SynthesisEngine`
+reproduces that with a long-lived execution layer:
 
 * **Shared memory instead of per-task pickling.**  The seed matrix — and the
   Bayesian-network conditional tables where feasible — live in
@@ -14,11 +10,13 @@ layer:
   attach zero-copy read-only views at startup.  Only a small skeleton spec
   (schema, structure, array offsets) is pickled, once, when the pool starts.
 
-* **Dynamic until-N dispatch.**  Work is claimed as fixed-size chunks from a
-  shared counter, so fast workers steal load instead of idling behind a
-  static split.  In until-N-released mode a shared released counter stops
-  workers within about one chunk of the target instead of burning a static
-  attempt budget.
+* **Parent-scheduled until-N dispatch.**  Each worker owns one duplex pipe
+  and holds at most one fixed-size chunk at a time; the parent hands the
+  next chunk to whichever worker replies first, so fast workers take more
+  load instead of idling behind a static split.  The parent also counts the
+  releases each request has received and stops handing out its chunks once
+  the target is met, so an until-N run stops within about one chunk per
+  worker of the target instead of burning a static attempt budget.
 
 * **Deterministic chunk streams.**  Chunk ``i`` always uses the RNG stream
   ``SeedSequence(base_seed, spawn_key=(i,))`` (exactly the ``i``-th spawned
@@ -47,18 +45,17 @@ layer:
   :class:`~repro.core.run_store.RunStore`, so a crashed or repeated run
   resumes from its completed chunks instead of regenerating them.
 
-* **Worker supervision with deterministic chunk retry.**  Each worker
-  records the chunk it is executing in a crash-proof shared in-flight table
-  before touching it.  When the parent's collection loop notices a dead
-  process (exitcode watch), it respawns a replacement against the *existing*
-  shared-memory segments, re-dispatches the current job to it, and queues
-  the lost chunk for re-execution — which is bit-identical to the lost run
-  because a chunk's content is a pure function of its index.  Retries are
-  bounded by ``max_chunk_retries``; past the bound the job fails with
-  :class:`ChunkRetryExhaustedError` while the pool (already repaired) stays
-  usable.  An unrepairable pool — a worker lost during startup, or a respawn
-  that itself fails — marks the engine broken and every subsequent call
-  raises :class:`EngineBrokenError` instead of hanging on corrupted queues.
+* **Worker supervision with deterministic chunk retry.**  The parent knows
+  which chunk each worker holds, and it waits on the pipes and the process
+  sentinels together, so a worker death is seen the moment it happens.  The
+  parent respawns a replacement against the *existing* shared-memory
+  segments and requeues exactly the chunk the dead worker held — the rerun
+  is bit-identical because a chunk's content is a pure function of its
+  index.  Retries are bounded by ``max_chunk_retries``; past the bound the
+  job fails with :class:`ChunkRetryExhaustedError` while the pool (already
+  repaired) stays usable.  An unrepairable pool — a worker that cannot start,
+  or a respawn that itself fails — marks the engine broken and every
+  subsequent call raises :class:`EngineBrokenError`.
   :meth:`SynthesisEngine.pool_health` exposes the restart and per-chunk
   retry counters next to :meth:`SynthesisEngine.workload_fingerprint`.
 
@@ -72,11 +69,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.connection import wait
 from multiprocessing.shared_memory import SharedMemory
-from queue import Empty
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,24 +92,17 @@ __all__ = [
     "ChunkRetryExhaustedError",
     "EngineBrokenError",
     "FoldSpec",
-    "MAX_FOLD_LANES",
     "SynthesisEngine",
     "chunk_rng",
 ]
 
-#: Upper bound on requests fused into one :meth:`SynthesisEngine.generate_folded`
-#: job.  The per-lane released counters live in one fixed-size shared array
-#: allocated at pool startup, so the bound must be known before any job runs.
-MAX_FOLD_LANES = 64
-
-
 class EngineBrokenError(RuntimeError):
     """The worker pool is unrecoverable; the engine refuses further work.
 
-    Raised when a worker dies during pool startup or a supervised respawn
-    itself fails.  The broken flag is sticky: every subsequent run call fails
-    fast with this error instead of hanging on inconsistent queues.  Build a
-    fresh engine to continue.
+    Raised when a worker cannot start (it fails to rebuild its mechanism or
+    dies before reporting ready) or a supervised respawn itself fails.  The
+    broken flag is sticky: every subsequent run call fails fast with this
+    error.  Build a fresh engine to continue.
     """
 
 
@@ -119,35 +110,13 @@ class ChunkRetryExhaustedError(RuntimeError):
     """A chunk's crash-retry budget (``max_chunk_retries``) ran out.
 
     The failing *job* is abandoned cleanly, but the pool has already been
-    repaired — dead workers respawned, or fully rebuilt when the crash
-    wedged the shared queues — so the engine itself remains usable for
-    subsequent runs.
+    repaired — every dead worker respawned — so the engine itself remains
+    usable for subsequent runs.
     """
 
     def __init__(self, message: str, chunk_indices: tuple[int, ...] = ()):
         super().__init__(message)
         self.chunk_indices = chunk_indices
-
-
-class _PoolStuckError(RuntimeError):
-    """The pool is live but silent: no messages, no deaths, nothing in flight.
-
-    A SIGKILL can land while the dying worker's queue feeder thread holds the
-    shared results queue's write lock; every surviving worker's messages then
-    wedge behind a lock no process will ever release.  The workers are alive,
-    so supervision sees nothing to respawn — the only recovery is rebuilding
-    the pool on fresh queues and resuming the job from the chunks already
-    received (chunk content is a pure function of the chunk index, so the
-    resumed run is bit-identical).
-
-    ``exhausted`` carries any chunks whose crash-retry budget ran out before
-    the wedge: that verdict must survive the rebuild — resuming would rerun
-    the job with a fresh retry budget and silently forgive the crashes.
-    """
-
-    def __init__(self, message: str, exhausted: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.exhausted = exhausted
 
 
 def chunk_rng(base_seed: int, chunk_index: int) -> np.random.Generator:
@@ -234,10 +203,12 @@ def _attach_array(segment: SharedMemory, spec: _ArraySpec) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 @dataclass
 class _WorkerSpec:
-    """Everything a worker needs to rebuild its mechanism, pickled once."""
+    """Everything a worker needs to rebuild its mechanism and run chunks,
+    pickled once."""
 
     schema_attributes: tuple
     params: PlausibleDeniabilityParams
+    batch_size: int | None
     seed_segment: str
     seed_spec: _ArraySpec
     # Bayesian-network fast path: tables live in shared memory.
@@ -289,11 +260,11 @@ def _fold_plan(lane_chunks: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Round-robin interleaving of the lanes' chunk plans.
 
     Round ``r`` visits every lane that still has an ``r``-th chunk, in lane
-    order, so the shared dispatch counter stays close to *every* lane's
-    release frontier: until-N lanes stop within about one chunk of their
-    target instead of speculating deep into one request while another
-    starves.  Within a lane the plan preserves local order — the worker-side
-    skip logic relies on claims arriving in lane-local order.
+    order, so dispatch stays close to *every* lane's release frontier:
+    until-N lanes stop within about one chunk of their target instead of
+    speculating deep into one request while another starves.  Within a lane
+    the plan preserves local order — the parent's skip rule relies on a
+    lane's chunks going out in lane-local order.
     """
     plan: list[tuple[int, int]] = []
     for round_index in range(max(lane_chunks, default=0)):
@@ -323,7 +294,6 @@ class _Job:
     ``completed`` holds *global* indices adopted from a checkpoint.
     """
 
-    job_id: int
     chunk_size: int
     batch_size: int | None
     lanes: tuple[_Lane, ...]
@@ -359,20 +329,6 @@ class _Job:
         return self.lanes[0].target_released
 
 
-def _lanes_satisfied(job: _Job, lane_released) -> bool:
-    """True when every lane's shared released counter has met its target.
-
-    Lanes without a target (fixed attempt budgets) are never satisfied early;
-    their chunks must all be claimed from the counter, as before folding.
-    """
-    for lane_index, lane in enumerate(job.lanes):
-        if lane.target_released is None:
-            return False
-        if lane_released[lane_index] < lane.target_released:
-            return False
-    return True
-
-
 def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> SynthesisMechanism:
     schema = Schema(list(spec.schema_attributes))
     seed_segment = _attach_segment(spec.seed_segment)
@@ -404,100 +360,49 @@ def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> 
     return SynthesisMechanism(model, seeds, spec.params).prepare()
 
 
-def _worker_main(
-    slot,
-    spec,
-    job_queue,
-    results_queue,
-    retry_queue,
-    next_chunk,
-    lane_released,
-    stop_flag,
-    inflight,
-    fault,
-):
-    """Worker entry point: build the mechanism once, then serve jobs forever.
+class _ChunkTask(NamedTuple):
+    """One chunk sent to a worker: its lane's RNG stream and its size."""
 
-    ``inflight[slot]`` is this worker's crash-proof claim record: it holds the
-    chunk index being executed (-1 when idle) and is written *before* the
-    chunk runs, so the supervisor can re-dispatch exactly the lost chunk of a
-    SIGKILLed worker without relying on queue messages that may never have
-    been flushed.  ``retry_queue`` carries those re-dispatched indices; they
-    are claimed ahead of the shared counter.  ``lane_released`` holds one
-    shared released counter per lane of the current job (index 0 for the
-    common single-lane case).  ``fault`` is an optional
-    :mod:`repro.testing.faults` injection point fired before each chunk.
+    index: int
+    base_seed: int
+    local_index: int
+    attempts: int
+
+
+def _worker_main(spec: _WorkerSpec, conn, fault) -> None:
+    """Worker entry point: build the mechanism once, then run chunks forever.
+
+    The first message on ``conn`` is ``("ready", None)``, or ``("broken",
+    traceback)`` when the mechanism cannot be rebuilt.  After that every
+    request is one :class:`_ChunkTask` and gets exactly one reply:
+    ``("chunk", report arrays)`` or ``("error", traceback)``.  A closed pipe
+    ends the worker.  ``fault`` is an optional :mod:`repro.testing.faults`
+    injection point fired before each chunk.
     """
     segments: list[SharedMemory] = []
     try:
-        mechanism = _build_worker_mechanism(spec, segments)
-    except BaseException:
-        results_queue.put((None, "error", (slot, traceback.format_exc())))
-        return
-    results_queue.put((None, "ready", slot))
-
-    while True:
-        job = job_queue.get()
-        if job is None:
-            return
         try:
-            while True:
-                if stop_flag.value:
-                    break
-                # Retry claims come first and ignore release targets: a
-                # retried chunk is a hole in the contiguous prefix, and the
-                # shared counter may already sit past the target on the
-                # strength of post-hole chunks that cannot be delivered
-                # until the hole is filled.
-                index = None
-                try:
-                    index = retry_queue.get_nowait()
-                except Empty:
-                    pass
-                if index is None:
-                    if _lanes_satisfied(job, lane_released):
-                        break
-                    with next_chunk.get_lock():
-                        index = next_chunk.value
-                        if index >= job.num_chunks:
-                            break
-                        next_chunk.value = index + 1
-                    if index in job.completed:
-                        continue
-                    lane_index, local_index = job.entry(index)
-                    lane = job.lanes[lane_index]
-                    if (
-                        lane.target_released is not None
-                        and lane_released[lane_index] >= lane.target_released
-                    ):
-                        # The lane met its target on the strength of chunks
-                        # with lower local indices (claims arrive in lane-
-                        # local order): consume the claim without executing.
-                        continue
-                else:
-                    if index >= job.num_chunks or index in job.completed:
-                        continue
-                    lane_index, local_index = job.entry(index)
-                    lane = job.lanes[lane_index]
-                inflight[slot] = index
+            mechanism = _build_worker_mechanism(spec, segments)
+        except Exception:
+            conn.send(("broken", traceback.format_exc()))
+            return
+        conn.send(("ready", None))
+        while True:
+            task = conn.recv()
+            try:
                 if fault is not None:
-                    fault.fire(index)
+                    fault.fire(task.index)
                 report = mechanism.run_attempts(
-                    job.chunk_attempts(index),
-                    chunk_rng(lane.base_seed, local_index),
-                    batch_size=job.batch_size,
+                    task.attempts,
+                    chunk_rng(task.base_seed, task.local_index),
+                    batch_size=spec.batch_size,
                 )
-                with lane_released.get_lock():
-                    lane_released[lane_index] += report.num_released
-                results_queue.put(
-                    (job.job_id, "chunk", (index, report.to_arrays(), report.num_released))
-                )
-                inflight[slot] = -1
-            inflight[slot] = -1
-            results_queue.put((job.job_id, "done", slot))
-        except BaseException:
-            inflight[slot] = -1
-            results_queue.put((job.job_id, "error", (slot, traceback.format_exc())))
+                reply = ("chunk", report.to_arrays())
+            except Exception:
+                reply = ("error", traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the parent closed its end of the pipe
 
 
 # --------------------------------------------------------------------------- #
@@ -545,13 +450,6 @@ class SynthesisEngine:
     shared-memory segments are released deterministically.
     """
 
-    _POLL_SECONDS = 1.0
-    #: Consecutive empty polls — with every worker alive but idle — before
-    #: the shared queues are declared wedged (see :class:`_PoolStuckError`).
-    _STUCK_POLLS = 15
-    #: Pool rebuilds allowed per job before the engine gives up as broken.
-    _MAX_POOL_REBUILDS = 2
-
     def __init__(
         self,
         model: GenerativeModel,
@@ -574,6 +472,9 @@ class SynthesisEngine:
             raise ValueError("batch_size must be positive when provided")
         if max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be non-negative")
+        # Constructing the mechanism validates the schema and seed count, for
+        # every worker count and before any process is spawned.
+        self._local_mechanism = SynthesisMechanism(model, seed_dataset, params)
         self._model = model
         self._seeds = seed_dataset
         self._schema = seed_dataset.schema
@@ -585,33 +486,24 @@ class SynthesisEngine:
         self._max_chunk_retries = max_chunk_retries
         self._fault_injector = fault_injector
         # Optional supervision-event callback ``(kind, payload)`` with kind
-        # in {"worker_restart", "chunk_retry", "pool_rebuild"}.  Telemetry
-        # only: it must not raise, and it never influences execution.
+        # in {"worker_restart", "chunk_retry"}.  Telemetry only: it must not
+        # raise, and it never influences execution.
         self._event_sink = event_sink
-        self._job_counter = 0
-        self._pending_done = 0
         self._workload_digest: str | None = None
-        self._local_mechanism: SynthesisMechanism | None = None
-        # Pool state (populated by start() when num_workers > 1).
+        # Pool state (populated by start() when num_workers > 1): per slot,
+        # the worker process, the parent's end of its pipe and the chunk it
+        # holds (None when idle).
         self._started = False
         self._closed = False
         self._broken = False
         self._worker_spec: _WorkerSpec | None = None
         self._processes: list = []
-        self._job_queues: list = []
-        self._results_queue = None
-        self._retry_queue = None
-        self._next_chunk = None
-        self._lane_released = None
-        self._stop_flag = None
-        self._inflight = None
+        self._conns: list = []
+        self._held: list[int | None] = []
         self._segments: list[SharedMemory] = []
         # Supervision bookkeeping.
         self._worker_restarts = 0
-        self._pool_rebuilds = 0
         self._chunk_retries: dict[int, int] = {}  # chunk -> crash re-executions (current job)
-        self._retry_pending: set[int] = set()  # requeued chunks awaiting redelivery
-        self._slot_owes_done: set[int] = set()  # slots dispatched the current job
 
     @property
     def num_workers(self) -> int:
@@ -643,81 +535,78 @@ class SynthesisEngine:
         except Exception:
             pass
 
+    def _check_usable(self) -> None:
+        if self._broken:
+            raise EngineBrokenError("the engine pool is broken; build a fresh engine")
+        if self._closed:
+            raise RuntimeError("the engine has been closed")
+
     def start(self) -> "SynthesisEngine":
         """Start the worker pool eagerly (otherwise started on first run).
 
         Blocks until every worker has attached the shared-memory segments,
         rebuilt its mechanism and reported ready, so subsequent run calls
-        (and their timings) contain no startup cost.  A no-op for
+        (and their timings) contain no startup cost.  A worker that cannot
+        start breaks the engine (:class:`EngineBrokenError`).  A no-op for
         ``num_workers=1`` and for an already started pool.
         """
-        if self._closed:
-            raise RuntimeError("the engine has been closed")
-        if self._broken:
-            raise EngineBrokenError("the engine pool is broken; build a fresh engine")
+        self._check_usable()
         if self._num_workers == 1 or self._started:
             return self
-        self._worker_spec = self._build_worker_spec()
-        context = get_context("spawn")
-        self._results_queue = context.Queue()
-        self._retry_queue = context.Queue()
-        self._next_chunk = context.Value("l", 0)
-        self._lane_released = context.Array("l", [0] * MAX_FOLD_LANES)
-        self._stop_flag = context.Value("b", 0)
-        self._inflight = context.Array("l", [-1] * self._num_workers, lock=False)
-        for slot in range(self._num_workers):
-            self._job_queues.append(context.Queue())
-            self._processes.append(None)
-            self._spawn_worker(slot)
         self._started = True
-        ready = 0
-        while ready < self._num_workers:
-            _job_id, kind, payload = self._next_message()
-            if kind == "error":
-                self.close()
-                raise RuntimeError(f"engine worker failed to start:\n{payload[1]}")
-            if kind == "ready":
-                ready += 1
+        self._worker_spec = self._build_worker_spec()
+        self._processes = [None] * self._num_workers
+        self._conns = [None] * self._num_workers
+        self._held = [None] * self._num_workers
+        for slot in range(self._num_workers):
+            self._spawn_worker(slot)
+        for slot, conn in enumerate(self._conns):
+            try:
+                kind, payload = conn.recv()
+            except (EOFError, OSError):
+                kind, payload = "died", "the worker exited before reporting ready"
+            if kind != "ready":
+                raise self._break(f"engine worker {slot} failed to start:\n{payload}")
         return self
 
     def _spawn_worker(self, slot: int) -> None:
-        """(Re)start the worker of ``slot`` against the existing segments."""
+        """(Re)start the worker of ``slot`` on a fresh pipe, against the
+        existing shared-memory segments."""
         context = get_context("spawn")
+        conn, child_conn = context.Pipe()
         try:
             process = context.Process(
                 target=_worker_main,
-                args=(
-                    slot,
-                    self._worker_spec,
-                    self._job_queues[slot],
-                    self._results_queue,
-                    self._retry_queue,
-                    self._next_chunk,
-                    self._lane_released,
-                    self._stop_flag,
-                    self._inflight,
-                    self._fault_injector,
-                ),
+                args=(self._worker_spec, child_conn, self._fault_injector),
                 daemon=True,
             )
             process.start()
-        except BaseException as exc:
-            self._broken = True
-            raise EngineBrokenError(
+        except Exception as exc:
+            conn.close()
+            raise self._break(
                 f"failed to (re)spawn engine worker {slot}: {exc}"
             ) from exc
+        finally:
+            # Only the worker may hold its end: its death must read as EOF.
+            child_conn.close()
         self._processes[slot] = process
+        self._conns[slot] = conn
+        self._held[slot] = None
+
+    def _break(self, message: str) -> EngineBrokenError:
+        """Mark the engine broken for good, stop the pool, return the error."""
+        self._broken = True
+        self.close()
+        return EngineBrokenError(message)
 
     def close(self) -> None:
         """Stop the workers and release the shared-memory segments."""
         if self._closed:
             return
         self._closed = True
-        for job_queue in self._job_queues:
-            try:
-                job_queue.put(None)
-            except Exception:
-                pass
+        for conn in self._conns:
+            if conn is not None:
+                conn.close()  # the worker reads EOF (or a busy one EPIPE) and exits
         for process in self._processes:
             if process is None:
                 continue
@@ -733,7 +622,8 @@ class SynthesisEngine:
                 pass
         self._segments.clear()
         self._processes.clear()
-        self._job_queues.clear()
+        self._conns.clear()
+        self._held.clear()
 
     def _build_worker_spec(self) -> _WorkerSpec:
         seed_segment, (seed_spec,) = _pack_arrays([self._seeds.data])
@@ -741,6 +631,7 @@ class SynthesisEngine:
         common = dict(
             schema_attributes=tuple(self._schema.attributes),
             params=self._params,
+            batch_size=self._batch_size,
             seed_segment=seed_segment.name,
             seed_spec=seed_spec,
         )
@@ -811,13 +702,13 @@ class SynthesisEngine:
     ) -> SynthesisReport:
         """Propose candidates until ``num_released`` pass the privacy test.
 
-        Workers coordinate through a shared released counter, so generation
-        stops within about one chunk per worker of the target instead of
-        running out a static attempt budget.  ``max_attempts`` (default: 100
-        per requested record, as in the serial mechanism) still bounds the
-        run when the parameters are too strict to reach the target.  The
-        released records and the merged accounting are identical for every
-        worker count.
+        The parent stops handing out chunks once the releases it has received
+        meet the target, so generation stops within about one chunk per
+        worker of the target instead of running out a static attempt budget.
+        ``max_attempts`` (default: 100 per requested record, as in the serial
+        mechanism) still bounds the run when the parameters are too strict to
+        reach the target.  The released records and the merged accounting are
+        identical for every worker count.
         """
         if num_released < 0:
             raise ValueError("num_released must be non-negative")
@@ -854,13 +745,8 @@ class SynthesisEngine:
 
         Folded jobs do not checkpoint (no ``run_id``): they are the serving
         layer's fast path, where per-request idempotency already provides
-        replay.  At most :data:`MAX_FOLD_LANES` specs fold into one job.
+        replay.
         """
-        if len(specs) > MAX_FOLD_LANES:
-            raise ValueError(
-                f"at most {MAX_FOLD_LANES} requests can be folded into one job "
-                f"(got {len(specs)})"
-            )
         lanes: list[_Lane] = []
         for spec in specs:
             if spec.num_released < 0:
@@ -911,13 +797,8 @@ class SynthesisEngine:
         progress: Callable[[ChunkProgress], None] | None,
         run_id: str | None,
     ) -> list[SynthesisReport]:
-        if self._closed:
-            raise RuntimeError("the engine has been closed")
-        if self._broken:
-            raise EngineBrokenError("the engine pool is broken; build a fresh engine")
-        self._job_counter += 1
+        self._check_usable()
         job = _Job(
-            job_id=self._job_counter,
             chunk_size=self._chunk_size,
             batch_size=self._batch_size,
             lanes=lanes,
@@ -925,8 +806,8 @@ class SynthesisEngine:
             completed=frozenset(),
         )
         # Only the contiguous prefix of checkpointed chunks is adopted: a
-        # post-gap chunk's releases would preset the shared released counter
-        # and could stop the pool before the gap is ever filled, silently
+        # post-gap chunk's releases would count toward the lane's target and
+        # could stop dispatch before the gap is ever filled, silently
         # under-delivering.  Gap and post-gap chunks are simply regenerated —
         # chunk content is a pure function of the chunk index, so the rerun
         # is bit-identical to the checkpoint it replaces.
@@ -945,67 +826,9 @@ class SynthesisEngine:
         if self._num_workers == 1:
             self._run_in_process(job, reports, tracker, run_id)
         else:
-            rebuilds = 0
-            self._chunk_retries = {}  # fresh crash-retry budget per job
-            while True:
-                self.start()
-                try:
-                    self._run_on_pool(job, reports, tracker, run_id)
-                    break
-                except _PoolStuckError as exc:
-                    rebuilds += 1
-                    if rebuilds > self._MAX_POOL_REBUILDS:
-                        self._broken = True
-                        self.close()
-                        raise EngineBrokenError(
-                            f"the worker pool wedged {rebuilds} times on one "
-                            f"job ({exc}); the engine is broken"
-                        ) from exc
-                    self._rebuild_pool()
-                    if exc.exhausted:
-                        # The retry-budget verdict predates the wedge and must
-                        # not be forgiven by the rebuild: the job is abandoned
-                        # exactly as if the pool had drained cleanly.
-                        raise ChunkRetryExhaustedError(
-                            f"chunk(s) {list(exc.exhausted)} crashed more than "
-                            f"max_chunk_retries={self._max_chunk_retries} "
-                            "times; the job was abandoned but the pool has "
-                            "been rebuilt and the engine remains usable",
-                            chunk_indices=exc.exhausted,
-                        ) from exc
-                    # Resume from the chunks already received, under the same
-                    # rule as checkpoint adoption: keep each lane's contiguous
-                    # delivered prefix, regenerate the rest.  A post-gap
-                    # report must not preset the released counters (it could
-                    # stop an until-N lane before its gap is filled), and
-                    # re-executing is bit-identical anyway.
-                    kept: set[int] = set()
-                    for lane_order in _lane_globals(job):
-                        for index in lane_order:
-                            if index not in reports:
-                                break
-                            kept.add(index)
-                    for index in [i for i in reports if i not in kept]:
-                        del reports[index]
-                    job = dataclasses.replace(job, completed=frozenset(kept))
+            self.start()
+            self._run_on_pool(job, reports, tracker, run_id)
         return self._finalize(job, reports)
-
-    @staticmethod
-    def _lane_released_sums(job: _Job, reports: dict[int, SynthesisReport]) -> list[int]:
-        """Per-lane released totals over the chunk reports received so far."""
-        sums = [0] * len(job.lanes)
-        for index, report in reports.items():
-            if index < job.num_chunks:
-                lane_index, _local_index = job.entry(index)
-                sums[lane_index] += report.num_released
-        return sums
-
-    def _mechanism(self) -> SynthesisMechanism:
-        if self._local_mechanism is None:
-            self._local_mechanism = SynthesisMechanism(
-                self._model, self._seeds, self._params
-            ).prepare()
-        return self._local_mechanism
 
     def _run_in_process(
         self,
@@ -1014,7 +837,7 @@ class SynthesisEngine:
         tracker: "_ProgressTracker",
         run_id: str | None,
     ) -> None:
-        mechanism = self._mechanism()
+        mechanism = self._local_mechanism.prepare()
         lane_globals = _lane_globals(job)
         # Lanes run one after the other — literally the K serial unfolded
         # requests — which is exactly what the pool path must be bit-identical
@@ -1044,303 +867,135 @@ class SynthesisEngine:
         tracker: "_ProgressTracker",
         run_id: str | None,
     ) -> None:
-        if self._pending_done:
-            # A previous job's collection loop was interrupted (exception in
-            # a progress callback, Ctrl-C, ...).  Its workers may still be
-            # claiming chunks from the shared counters, so wait for them to
-            # go quiescent before resetting state for this job.
-            self._stop_flag.value = 1
-            silent_polls = 0
-            while self._pending_done:
-                try:
-                    _job_id, kind, _payload = self._results_queue.get(
-                        timeout=self._POLL_SECONDS
-                    )
-                except Empty:
-                    # A worker that died while owing a "done" will never send
-                    # it; respawn it (idle: the stale job is abandoned) and
-                    # stop waiting on its behalf.
-                    restarts = self._worker_restarts
-                    self._supervise(None, {}, None)
-                    silent_polls = (
-                        0
-                        if self._worker_restarts != restarts
-                        or any(int(flag) >= 0 for flag in self._inflight)
-                        else silent_polls + 1
-                    )
-                    if silent_polls >= self._STUCK_POLLS:
-                        raise _PoolStuckError(
-                            "the stale-job drain made no progress for "
-                            f"{silent_polls} polls"
-                        )
-                    continue
-                silent_polls = 0
-                if kind in ("done", "error"):
-                    self._pending_done -= 1
-        while True:  # clear retry indices a stopped job never consumed
-            try:
-                self._retry_queue.get_nowait()
-            except Empty:
-                break
-        self._next_chunk.value = 0
-        completed_sums = self._lane_released_sums(
-            job, {index: reports[index] for index in job.completed}
-        )
-        with self._lane_released.get_lock():
-            for lane_index in range(MAX_FOLD_LANES):
-                self._lane_released[lane_index] = (
-                    completed_sums[lane_index]
-                    if lane_index < len(completed_sums)
-                    else 0
-                )
-        self._stop_flag.value = 0
-        # _chunk_retries is NOT reset here: a pool rebuild resumes the same
-        # job, and its crash-retry budget is cumulative across the resume.
-        self._retry_pending = set()
-        self._slot_owes_done = set(range(len(self._processes)))
-        for job_queue in self._job_queues:
-            job_queue.put(job)
-        self._pending_done = len(self._processes)
+        """Schedule the job's chunks over the worker pipes until every lane
+        is satisfied.
 
-        pending = len(self._processes)
+        Each idle worker gets one chunk: a requeued chunk first, otherwise the
+        next one in plan order, skipping the chunks of a lane whose received
+        releases already meet its target.  The plan keeps lane-local order,
+        so every chunk below a skipped one is received or held by a worker
+        (and requeued if that worker dies): skipping never opens a gap in a
+        lane's merged prefix.
+        """
+        while any(held is not None for held in self._held):
+            self._next_replies()  # replies to a returned or failed job: discard
+        self._chunk_retries = {}  # fresh crash-retry budget per job
         prefix = _FoldPrefix(job, reports)
-        failure: str | None = None
-        exhausted: list[int] = []
-        silent_polls = 0
-        try:
-            while pending:
-                try:
-                    job_id, kind, payload = self._results_queue.get(
-                        timeout=self._POLL_SECONDS
-                    )
-                except Empty:
-                    restarts = self._worker_restarts
-                    self._supervise(job, reports, exhausted)
-                    if exhausted and not self._stop_flag.value:
-                        self._stop_flag.value = 1
-                    # Workers alive but nothing computing, nothing delivered
-                    # and nobody respawned: the shared queues are wedged (a
-                    # crash poisoned an internal lock) and no amount of
-                    # waiting or respawning will unwedge them.
-                    silent_polls = (
-                        0
-                        if self._worker_restarts != restarts
-                        or any(int(flag) >= 0 for flag in self._inflight)
-                        else silent_polls + 1
-                    )
-                    if silent_polls >= self._STUCK_POLLS:
-                        raise _PoolStuckError(
-                            f"{pending} live worker(s) sent nothing for "
-                            f"{silent_polls} polls with no chunk in flight",
-                            exhausted=tuple(sorted(set(exhausted))),
-                        )
-                    continue
-                silent_polls = 0
-                if job_id != job.job_id:
-                    # Stale message from a job whose collection loop was
-                    # interrupted (e.g. a progress callback raised): drop it
-                    # rather than merging another run's chunks into this one.
-                    continue
-                if kind == "done":
-                    pending -= 1
-                    self._pending_done -= 1
-                    self._slot_owes_done.discard(payload)
+        received = [0] * len(job.lanes)
+        for index in job.completed:
+            received[job.entry(index)[0]] += reports[index].num_released
+        requeued: deque[int] = deque()
+        fresh = iter(range(job.num_chunks))
+
+        def next_chunk() -> int | None:
+            if requeued:
+                return requeued.popleft()
+            for index in fresh:
+                lane_index, _local_index = job.entry(index)
+                target = job.lanes[lane_index].target_released
+                if index not in job.completed and (
+                    target is None or received[lane_index] < target
+                ):
+                    return index
+            return None
+
+        while not prefix.all_satisfied():
+            for slot, held in enumerate(self._held):
+                if held is None and (index := next_chunk()) is not None:
+                    self._send_chunk(slot, job, index)
+            if all(held is None for held in self._held):
+                break  # nothing left to run; _finalize reports any shortfall
+            for kind, index, payload in self._next_replies():
+                if kind == "died":
+                    if index is not None:
+                        self._requeue_chunk(index, requeued)
                 elif kind == "error":
-                    pending -= 1
-                    self._pending_done -= 1
-                    self._slot_owes_done.discard(payload[0])
-                    failure = payload[1]
-                    self._stop_flag.value = 1
-                elif kind == "chunk":
-                    index, arrays, released = payload
-                    if index in reports:
-                        # A crash-retried chunk raced its original message
-                        # (both delivered).  The content is bit-identical, so
-                        # drop the duplicate and undo its double count on the
-                        # lane's shared released counter.
-                        lane_index, _local_index = job.entry(index)
-                        with self._lane_released.get_lock():
-                            self._lane_released[lane_index] -= released
-                        continue
-                    report = SynthesisReport.from_arrays(self._schema, arrays)
+                    raise RuntimeError(f"engine worker failed:\n{payload}")
+                else:
+                    report = SynthesisReport.from_arrays(self._schema, payload)
                     reports[index] = report
-                    self._retry_pending.discard(index)
-                    self._save_checkpoint(run_id, index, arrays)
+                    lane_index = job.entry(index)[0]
+                    received[lane_index] += report.num_released
+                    self._save_checkpoint(run_id, index, payload)
                     tracker.emit(index, report)
-                    if not self._stop_flag.value:
-                        prefix.advance(job.entry(index)[0])
-                        if prefix.all_satisfied():
-                            self._stop_flag.value = 1
-        except BaseException:
-            # Parent-side failure mid-collection: tell the workers to stop
-            # claiming chunks instead of burning the rest of the budget.
-            self._stop_flag.value = 1
-            raise
-        if failure is not None:
-            raise RuntimeError(f"engine worker failed:\n{failure}")
-        if exhausted:
-            indices = tuple(sorted(set(exhausted)))
-            raise ChunkRetryExhaustedError(
-                f"chunk(s) {list(indices)} crashed more than max_chunk_retries="
-                f"{self._max_chunk_retries} times; the job was abandoned but the "
-                "pool has been repaired and the engine remains usable",
-                chunk_indices=indices,
-            )
+                    prefix.advance(lane_index)
+
+    def _send_chunk(self, slot: int, job: _Job, index: int) -> None:
+        """Hand chunk ``index`` to the idle worker of ``slot``."""
+        lane_index, local_index = job.entry(index)
+        task = _ChunkTask(
+            index, job.lanes[lane_index].base_seed, local_index, job.chunk_attempts(index)
+        )
+        try:
+            self._conns[slot].send(task)
+        except OSError:
+            # The worker died idle and never got the chunk: the replacement
+            # takes it, uncharged (its pipe buffers the task until it is up).
+            self._replace_worker(slot)
+            self._conns[slot].send(task)
+        self._held[slot] = index
+
+    def _next_replies(self) -> list[tuple[str, int | None, object]]:
+        """Block until some worker replies or dies; one event per such worker.
+
+        Events are ``(kind, chunk, payload)``: ``"chunk"`` (payload: the
+        report arrays) or ``"error"`` (payload: the traceback) answers the
+        chunk the worker held, and ``"died"`` names the chunk a dead worker
+        held (None when idle) after a replacement has been spawned.  A dead
+        worker's pipe still yields every message it sent before EOF, so no
+        delivered chunk is ever rerun.  The ``"ready"`` of a respawned worker
+        answers no chunk and is skipped.
+        """
+        sentinels = [process.sentinel for process in self._processes]
+        ready = set(wait([*self._conns, *sentinels]))
+        events: list[tuple[str, int | None, object]] = []
+        for slot, conn in enumerate(self._conns):
+            if conn not in ready and sentinels[slot] not in ready:
+                continue
+            try:
+                kind, payload = conn.recv()
+            except (EOFError, OSError):
+                events.append(("died", self._replace_worker(slot), None))
+                continue
+            if kind == "broken":
+                raise self._break(f"engine worker {slot} failed to restart:\n{payload}")
+            if kind != "ready":
+                events.append((kind, self._held[slot], payload))
+                self._held[slot] = None
+        return events
 
     def _emit_event(self, kind: str, payload: dict) -> None:
         """Forward one supervision event to the telemetry sink, if any."""
         if self._event_sink is not None:
             self._event_sink(kind, payload)
 
-    def _supervise(self, job: _Job | None, reports: dict, exhausted: list | None) -> None:
-        """Detect dead workers, respawn them, and re-dispatch lost chunks.
+    def _replace_worker(self, slot: int) -> int | None:
+        """Respawn the dead worker of ``slot``; return the chunk it held."""
+        lost = self._held[slot]
+        self._worker_restarts += 1
+        self._emit_event(
+            "worker_restart", {"slot": slot, "lost_chunk": -1 if lost is None else lost}
+        )
+        self._conns[slot].close()
+        process = self._processes[slot]
+        process.kill()  # EOF can precede the exit by a moment
+        process.join()
+        self._spawn_worker(slot)  # raises EngineBrokenError on failure
+        return lost
 
-        With a ``job`` in flight the replacement worker is handed the same
-        job and every chunk the crash may have swallowed is queued for
-        deterministic re-execution: the crashed worker's in-flight chunk
-        (from the shared ``inflight`` table, charged against
-        ``max_chunk_retries`` as the potential culprit) *and* any earlier
-        claimed-but-undelivered chunk (requeued uncharged) — a SIGKILL
-        can take already-``put`` messages down with the queue's feeder
-        thread, so a chunk the dead worker finished minutes ago may still be
-        lost.  Retries are queued before the job is re-dispatched so no
-        replacement can observe the job without every hole being claimable.
-        The shared released counter is resynced to the reports actually
-        received so a crash between a worker's counter increment and its
-        (lost) chunk message can never stop an until-N run short of its
-        target.
-        """
-        dead_slots = [
-            slot for slot, process in enumerate(self._processes) if not process.is_alive()
-        ]
-        respawned: list[tuple[int, bool]] = []
-        for slot in dead_slots:
-            lost_chunk = int(self._inflight[slot])
-            self._inflight[slot] = -1
-            owed = slot in self._slot_owes_done
-            self._worker_restarts += 1
-            self._emit_event(
-                "worker_restart", {"slot": slot, "lost_chunk": lost_chunk}
-            )
-            self._spawn_worker(slot)  # raises EngineBrokenError on failure
-            if job is None:
-                if owed:
-                    self._slot_owes_done.discard(slot)
-                    self._pending_done -= 1
-                continue
-            respawned.append((slot, owed))
-            if lost_chunk >= 0 and lost_chunk not in reports:
-                self._requeue_chunk(lost_chunk, exhausted)
-        if job is None or not respawned:
-            return
-        self._requeue_swallowed_chunks(job, reports)
-        for slot, owed in respawned:
-            if owed:
-                self._job_queues[slot].put(job)  # replacement owes the done instead
-        sums = self._lane_released_sums(job, reports)
-        with self._lane_released.get_lock():
-            for lane_index, value in enumerate(sums):
-                self._lane_released[lane_index] = value
-
-    def _requeue_chunk(self, index: int, exhausted: list) -> None:
-        """Queue one chunk for re-execution, charging its crash-retry budget."""
+    def _requeue_chunk(self, index: int, requeued: deque) -> None:
+        """Queue a crashed chunk for re-execution, charging its retry budget."""
         retries = self._chunk_retries.get(index, 0)
         if retries >= self._max_chunk_retries:
-            exhausted.append(index)
-        else:
-            self._chunk_retries[index] = retries + 1
-            self._emit_event(
-                "chunk_retry", {"chunk": index, "retries": retries + 1}
+            raise ChunkRetryExhaustedError(
+                f"chunk {index} crashed more than max_chunk_retries="
+                f"{self._max_chunk_retries} times; the job was abandoned but the "
+                "pool has been repaired and the engine remains usable",
+                chunk_indices=(index,),
             )
-            self._retry_pending.add(index)
-            self._retry_queue.put(index)
-
-    def _requeue_swallowed_chunks(self, job: _Job, reports: dict) -> None:
-        """Requeue every claimed chunk whose delivery the crash may have lost.
-
-        A hole — claimed off the shared counter, not delivered, not in any
-        live worker's ``inflight`` slot and not already awaiting retry — is
-        either a message the dead worker's feeder thread never flushed or a
-        target-met claim a lane consumed without executing.  Re-executing is
-        safe in both cases: chunk content is a pure function of
-        ``(base_seed, chunk_index)``, a raced duplicate delivery is dropped
-        with its counter double-increment undone, and :meth:`_finalize`
-        truncates each lane at its target.  Unlike the dead worker's
-        in-flight chunk (the potential culprit), holes are innocent victims
-        of someone else's crash, so their re-execution is *not* charged
-        against ``max_chunk_retries`` — the budget still bounds crash loops
-        because every crash charges whatever was in flight.
-        """
-        claimed = min(int(self._next_chunk.value), job.num_chunks)
-        inflight = {int(self._inflight[slot]) for slot in range(len(self._processes))}
-        for index in range(claimed):
-            if index in reports or index in job.completed:
-                continue
-            if index in inflight or index in self._retry_pending:
-                continue
-            self._retry_pending.add(index)
-            self._retry_queue.put(index)
-
-    def _rebuild_pool(self) -> None:
-        """Tear down a wedged pool and leave it ready to start from scratch.
-
-        Respawning individual workers cannot fix state *inside* the shared
-        queues — a lock a SIGKILLed feeder thread died holding stays held
-        forever, and any process touching that queue wedges too.  So the
-        whole process tier is discarded: workers terminated, queues and
-        shared counters dropped, segments unlinked.  The next :meth:`start`
-        builds everything fresh.
-        """
-        self._pool_rebuilds += 1
-        self._emit_event("pool_rebuild", {"rebuilds": self._pool_rebuilds})
-        for process in self._processes:
-            if process is None or not process.is_alive():
-                continue
-            process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-        for queue in (*self._job_queues, self._retry_queue):
-            try:
-                # Unflushed feeder data must not block queue finalization.
-                queue.cancel_join_thread()
-            except Exception:  # repro: allow[robust-swallowed-exception]
-                pass  # best-effort teardown of an already-poisoned queue
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # repro: allow[robust-swallowed-exception]
-                pass  # another close() may have unlinked the segment first
-        self._segments.clear()
-        self._processes.clear()
-        self._job_queues.clear()
-        self._results_queue = None
-        self._retry_queue = None
-        self._pending_done = 0
-        self._started = False
-
-    def _next_message(self):
-        """One (job_id, kind, payload) startup message, watching for deaths.
-
-        Only the :meth:`start` ready-wait uses this: a worker that dies
-        before the pool is even up has nothing to retry deterministically, so
-        the pool is marked broken and torn down rather than supervised.
-        """
-        while True:
-            try:
-                return self._results_queue.get(timeout=self._POLL_SECONDS)
-            except Empty:
-                dead = [p for p in self._processes if p is not None and not p.is_alive()]
-                if dead:
-                    codes = [p.exitcode for p in dead]
-                    self._broken = True
-                    self.close()
-                    raise EngineBrokenError(
-                        f"{len(dead)} engine worker(s) died during pool startup "
-                        f"(exit codes: {codes}); the pool is broken"
-                    ) from None
+        self._chunk_retries[index] = retries + 1
+        self._emit_event("chunk_retry", {"chunk": index, "retries": retries + 1})
+        requeued.append(index)
 
     def _finalize(
         self, job: _Job, reports: dict[int, SynthesisReport]
@@ -1376,8 +1031,7 @@ class SynthesisEngine:
         """Supervision counters next to the workload identity.
 
         ``worker_restarts`` counts every supervised respawn over the engine's
-        lifetime and ``pool_rebuilds`` every full from-scratch pool rebuild
-        after a wedged-queue livelock; ``chunk_retries`` maps chunk index to
+        lifetime; ``chunk_retries`` maps chunk index to
         crash re-executions for the most recent pool job; ``workers_alive``
         is the live process count (0 on the serial path, which has no pool
         to supervise).
@@ -1388,7 +1042,6 @@ class SynthesisEngine:
                 1 for p in self._processes if p is not None and p.is_alive()
             ),
             "worker_restarts": self._worker_restarts,
-            "pool_rebuilds": self._pool_rebuilds,
             "chunk_retries": dict(self._chunk_retries),
             "max_chunk_retries": self._max_chunk_retries,
             "broken": self._broken,

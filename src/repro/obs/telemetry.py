@@ -74,7 +74,7 @@ class Telemetry:
             "repro_queue_depth", "Requests waiting in scheduler queues."
         )
         self.folds_total = m.counter(
-            "repro_folds_total", "Engine jobs dispatched (fold windows)."
+            "repro_folds_total", "Engine jobs dispatched (folds)."
         )
         self.folded_lanes_total = m.counter(
             "repro_folded_lanes_total",
@@ -110,9 +110,6 @@ class Telemetry:
         )
         self.worker_restarts_total = m.counter(
             "repro_worker_restarts_total", "Engine workers respawned."
-        )
-        self.pool_rebuilds_total = m.counter(
-            "repro_pool_rebuilds_total", "Engine worker pools rebuilt."
         )
         # Privacy test.
         self.privacy_test_attempts_total = m.counter(
@@ -201,8 +198,6 @@ class Telemetry:
             self.worker_restarts_total.inc()
         elif kind == "chunk_retry":
             self.chunk_retries_total.inc()
-        elif kind == "pool_rebuild":
-            self.pool_rebuilds_total.inc()
 
     def close(self) -> None:
         self.tracer.close()

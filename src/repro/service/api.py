@@ -54,7 +54,6 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from repro.core.engine import (
-    MAX_FOLD_LANES,
     ChunkProgress,
     EngineBrokenError,
     FoldSpec,
@@ -334,7 +333,7 @@ class ServiceApp:
         self._seed_counts: dict[str, int] = {}  # repro: guarded-by[_lock]
         # Thread-local fold context: the dispatcher thread running a folded
         # batch parks its requests here so engine supervision events
-        # (worker restarts, chunk retries, pool rebuilds) can be attributed
+        # (worker restarts, chunk retries) can be attributed
         # to the traces of the requests that were in flight.
         self._fold_ctx = threading.local()
         self._pool = EnginePool(
@@ -564,16 +563,20 @@ class ServiceApp:
             event_sink=self._engine_event if self._obs is not None else None,
         )
 
-    def _fold_window(
+    def _execute_fold(
         self, model_id: str, requests: list[GenerateRequest]
     ) -> list[SynthesisReport]:
-        """Run one ≤ ``MAX_FOLD_LANES`` window as a single fused engine job.
+        """Scheduler fold executor: a batch of same-model requests → reports.
 
-        A lease whose engine turns out broken mid-fold is discarded (evicted
-        from the pool) and the window retried once on a freshly built engine
-        — every lane is deterministic in (base_seed, chunk index), so the
-        retry releases the same rows the first attempt would have.
+        The batch runs as one fused job on a pooled engine.  A lease whose
+        engine turns out broken mid-fold is discarded (evicted from the pool)
+        and the batch retried once on a freshly built engine — every lane is
+        deterministic in (base_seed, chunk index), so the retry releases the
+        same rows the first attempt would have.
         """
+        with self._lock:
+            if self._closed:
+                raise ServiceError(503, "shutting_down", "the service is closing")
         specs = [
             FoldSpec(
                 num_released=request.num_rows,
@@ -632,7 +635,7 @@ class ServiceApp:
 
         Counts the event in the metrics registry and attaches a zero-duration
         span to every request in the fold the dispatcher thread is running —
-        a worker restart or pool rebuild affects the whole fused job, so each
+        a worker restart or chunk retry affects the whole fused job, so each
         folded lane's trace records it.
         """
         obs = self._obs
@@ -657,7 +660,7 @@ class ServiceApp:
         chunk_events: list,
         profile,
     ) -> None:
-        """Spans for one finished fold window: fold → engine_job → chunks + test."""
+        """Spans for one finished fold: fold → engine_job → chunks + test."""
         obs = self._obs
         assert obs is not None
         fold_end = obs.clock.monotonic()
@@ -723,23 +726,6 @@ class ServiceApp:
                 parent_id=engine_span.span_id,
                 attrs=test_attrs,
             )
-
-    def _execute_fold(
-        self, model_id: str, requests: list[GenerateRequest]
-    ) -> list[SynthesisReport]:
-        """Scheduler fold executor: a batch of same-model requests → reports.
-
-        Batches larger than the engine's lane bound are windowed; each
-        window is one fused job on a pooled engine.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceError(503, "shutting_down", "the service is closing")
-        reports: list[SynthesisReport] = []
-        for start in range(0, len(requests), MAX_FOLD_LANES):
-            window = requests[start : start + MAX_FOLD_LANES]
-            reports.extend(self._fold_window(model_id, window))
-        return reports
 
     def generate(
         self,

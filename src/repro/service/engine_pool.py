@@ -321,9 +321,8 @@ class EnginePool:
         """Per-model engine supervision counters plus pool-global totals.
 
         Each model reports its engine count, how many are leased out, the sum
-        of live worker processes, supervised restarts and wedged-pool
-        rebuilds across its engines, and how many are
-        broken-but-not-yet-evicted.  Pool-global counters
+        of live worker processes and supervised restarts across its engines,
+        and how many are broken-but-not-yet-evicted.  Pool-global counters
         cover builds, evictions, budget reaping and the worker budget.
         """
         with self._lock:
@@ -335,7 +334,6 @@ class EnginePool:
                     "busy": sum(1 for entry in entries if entry.busy),
                     "workers_alive": sum(h["workers_alive"] for h in healths),
                     "worker_restarts": sum(h["worker_restarts"] for h in healths),
-                    "pool_rebuilds": sum(h["pool_rebuilds"] for h in healths),
                     "broken": sum(1 for h in healths if h["broken"]),
                 }
             return {

@@ -33,9 +33,9 @@ __all__ = [
 class KillWorkerAtChunk:
     """SIGKILL the worker process that claims ``chunk_index``.
 
-    Fired by the engine worker *after* recording the chunk in the shared
-    in-flight table but *before* executing it — the exact window in which a
-    real OOM kill loses an uncommitted chunk.  ``times`` bounds how many
+    Fired by the engine worker *after* it has received the chunk from the
+    parent (which records which worker holds it) but *before* executing it —
+    the exact window in which a real OOM kill loses an uncommitted chunk.  ``times`` bounds how many
     kills the fault may perform across respawns (coordinated through
     ``marker_dir``), so ``times = max_chunk_retries + 1`` forces retry
     exhaustion while ``times = 1`` exercises clean recovery.

@@ -8,8 +8,9 @@ engine-specific lifecycle, progress and checkpointing coverage.
 import numpy as np
 import pytest
 
-from repro.core.engine import ChunkProgress, SynthesisEngine, chunk_rng
+from repro.core.engine import ChunkProgress, FoldSpec, SynthesisEngine, chunk_rng
 from repro.core.run_store import RunStore, RunStoreCorruptionError
+from repro.datasets.dataset import Dataset
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
 from repro.testing.invariants import (
     assert_reports_identical,
@@ -58,12 +59,29 @@ class TestSerialEngine:
         merged = oracle[0].merge(*oracle[1:])
         assert_reports_identical(merged, report)
 
-    def test_run_attempts_counts(self, unnoised_model, acs_splits, params):
+    @pytest.mark.parametrize("batch_size", [None, 8, 256], ids=["loop", "b8", "b256"])
+    def test_run_attempts_counts(self, unnoised_model, acs_splits, params, batch_size):
         with SynthesisEngine(
-            unnoised_model, acs_splits.seeds, params, chunk_size=8
+            unnoised_model, acs_splits.seeds, params, chunk_size=8, batch_size=batch_size
         ) as engine:
             assert engine.run_attempts(0).num_attempts == 0
             assert engine.run_attempts(21).num_attempts == 21
+            assert engine.run_attempts(25).num_attempts == 25
+
+    def test_adjacent_base_seeds_use_distinct_streams(
+        self, unnoised_model, acs_splits, params
+    ):
+        # Chunk streams are SeedSequence children of the base seed, so chunk 1
+        # of base seed 0 never replays chunk 0 of base seed 1.
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=4, batch_size=None
+        ) as engine:
+            first = engine.run_attempts(8, base_seed=0)
+            second = engine.run_attempts(8, base_seed=1)
+        assert not np.array_equal(
+            first.all_candidates_dataset().data[4:8],
+            second.all_candidates_dataset().data[0:4],
+        )
 
     def test_generate_until_n_stops_within_a_chunk(
         self, unnoised_model, acs_splits, params
@@ -100,9 +118,19 @@ class TestSerialEngine:
         assert events[-1].total_attempts == report.num_attempts
         assert events[-1].total_released == report.num_released
 
-    def test_validation(self, unnoised_model, acs_splits, params):
+    def test_validation(self, unnoised_model, acs_splits, params, toy_dataset_small):
         with pytest.raises(ValueError):
             SynthesisEngine(unnoised_model, acs_splits.seeds, params, num_workers=0)
+        # Seed data the mechanism would reject fails at construction, before
+        # any worker process exists, whatever the worker count.
+        too_few = Dataset(acs_splits.seeds.schema, acs_splits.seeds.data[: params.k - 1])
+        for num_workers in (1, 2):
+            with pytest.raises(ValueError, match="schema must match"):
+                SynthesisEngine(
+                    unnoised_model, toy_dataset_small, params, num_workers=num_workers
+                )
+            with pytest.raises(ValueError, match=f"at least k={params.k}"):
+                SynthesisEngine(unnoised_model, too_few, params, num_workers=num_workers)
         with pytest.raises(ValueError):
             SynthesisEngine(unnoised_model, acs_splits.seeds, params, chunk_size=0)
         with pytest.raises(ValueError):
@@ -170,6 +198,48 @@ class TestWorkerPoolParity:
         first = pool_engine.run_attempts(20, base_seed=1)
         second = pool_engine.run_attempts(20, base_seed=1)
         assert_reports_identical(first, second)
+
+    def test_satisfied_lane_gets_no_more_chunks(
+        self, pool_engine, unnoised_model, acs_splits, params
+    ):
+        # Lane 0 needs a chunk or two, lane 1 many: once lane 0's received
+        # releases meet its target the parent hands out none of its chunks,
+        # beyond the one the other worker may already hold.
+        specs = [
+            FoldSpec(num_released=2, base_seed=31, max_attempts=4000),
+            FoldSpec(num_released=60, base_seed=32, max_attempts=4000),
+        ]
+        events: list[ChunkProgress] = []
+        folded = pool_engine.generate_folded(specs, progress=events.append)
+        alone: list[ChunkProgress] = []
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=8
+        ) as serial:
+            expected = serial.generate(
+                2, base_seed=31, max_attempts=4000, progress=alone.append
+            )
+        assert_reports_identical(expected, folded[0])
+        lane_chunks = sum(1 for event in events if event.lane_index == 0)
+        assert lane_chunks <= len(alone) + pool_engine.num_workers - 1
+
+    def test_fold_of_65_lanes_matches_standalone_generates(
+        self, pool_engine, unnoised_model, acs_splits, params
+    ):
+        specs = [
+            FoldSpec(num_released=2, base_seed=500 + lane, max_attempts=48)
+            for lane in range(65)
+        ]
+        folded = pool_engine.generate_folded(specs)
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=8
+        ) as serial:
+            for lane, (spec, report) in enumerate(zip(specs, folded)):
+                expected = serial.generate(
+                    spec.num_released,
+                    base_seed=spec.base_seed,
+                    max_attempts=spec.max_attempts,
+                )
+                assert_reports_identical(expected, report, context=f"lane {lane}")
 
 
 class TestCheckpointing:

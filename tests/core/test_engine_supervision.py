@@ -7,7 +7,10 @@ function of ``(base_seed, chunk_index)``, so a retry can never change the
 released output, only the wall clock.
 """
 
-import numpy as np
+import dataclasses
+import os
+import time
+
 import pytest
 
 from repro.core.engine import (
@@ -25,6 +28,41 @@ pytestmark = pytest.mark.chaos
 @pytest.fixture(scope="module")
 def params():
     return PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=1.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class RaiseAtChunk:
+    """Fault point: the worker raises (and survives) on one chunk."""
+
+    chunk_index: int
+
+    def fire(self, chunk_index: int) -> None:
+        if chunk_index == self.chunk_index:
+            raise ValueError(f"injected failure at chunk {chunk_index}")
+
+
+@dataclasses.dataclass(frozen=True)
+class DelayAtChunk:
+    """Fault point: the worker sleeps before one chunk, so it is still busy
+    when the job around it is abandoned."""
+
+    chunk_index: int
+    seconds: float = 0.5
+
+    def fire(self, chunk_index: int) -> None:
+        if chunk_index == self.chunk_index:
+            time.sleep(self.seconds)
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultChain:
+    """Fault point firing several faults in turn."""
+
+    faults: tuple
+
+    def fire(self, chunk_index: int) -> None:
+        for fault in self.faults:
+            fault.fire(chunk_index)
 
 
 def serial_report(unnoised_model, acs_splits, params, **run):
@@ -198,18 +236,21 @@ class TestBrokenEngine:
         assert not health["broken"]
 
 
-class TestSwallowedChunkRequeue:
-    """A SIGKILL can lose *already-sent* chunk messages with the dead
-    worker's queue feeder thread, not just the chunk in its inflight slot.
-    Supervision must requeue every claimed-but-undelivered hole."""
+class TestPromptSupervision:
+    """The parent waits on every worker's pipe and process sentinel, so a
+    death is handled the moment it happens, busy or idle."""
 
-    def test_holes_requeued_inflight_and_delivered_skipped(
-        self, unnoised_model, acs_splits, params
+    def test_crash_is_detected_while_the_other_worker_delivers(
+        self, unnoised_model, acs_splits, params, tmp_path
     ):
-        from queue import Empty
+        # The fault writes its marker file just before the SIGKILL.
+        restarts: list[float] = []
 
-        from repro.core.engine import _Job, _Lane
+        def sink(kind, payload):
+            if kind == "worker_restart":
+                restarts.append(time.time())
 
+        fault = KillWorkerAtChunk(chunk_index=6, marker_dir=str(tmp_path), times=1)
         with SynthesisEngine(
             unnoised_model,
             acs_splits.seeds,
@@ -217,99 +258,55 @@ class TestSwallowedChunkRequeue:
             num_workers=2,
             chunk_size=16,
             batch_size=8,
+            fault_injector=fault,
+            event_sink=sink,
         ) as engine:
-            engine.run_attempts(16, base_seed=0)  # spin the pool up
-            job = _Job(
-                job_id=99,
-                chunk_size=16,
-                batch_size=8,
-                lanes=(_Lane(limit=80, base_seed=3, target_released=None),),
-                plan=None,
-                completed=frozenset(),
-            )
-            # Chunks 0-3 claimed; 0 and 2 delivered, 3 executing on a live
-            # worker, 1 swallowed by a crash; 4 never claimed.
-            engine._next_chunk.value = 4
-            engine._inflight[0] = 3
-            engine._chunk_retries = {}
-            engine._retry_pending = set()
-            engine._requeue_swallowed_chunks(job, {0: object(), 2: object()})
-            engine._inflight[0] = -1
-            requeued = []
-            while True:
-                try:
-                    requeued.append(engine._retry_queue.get(timeout=1.0))
-                except Empty:
-                    break
-            assert requeued == [1]
-            assert engine._retry_pending == {1}
-            # Holes are victims of someone else's crash, never charged.
-            assert engine._chunk_retries == {}
+            engine.start()
+            report = engine.run_attempts(320, base_seed=4)
+        assert fault.kills_fired() == 1
+        assert len(restarts) == 1
+        killed_at = os.stat(tmp_path / "kill.0").st_mtime
+        assert restarts[0] - killed_at < 0.5
+        expected = serial_report(
+            unnoised_model, acs_splits, params, num_attempts=320, base_seed=4
+        )
+        assert_reports_identical(expected, report)
 
-    def test_hole_requeue_ignores_the_crash_retry_budget(
-        self, unnoised_model, acs_splits, params
+
+    def test_more_workers_than_cores_survive_two_crashes(
+        self, unnoised_model, acs_splits, params, tmp_path
     ):
-        # A hole is requeued even when its own budget is spent: the chunk
-        # did not cause this crash, only its delivery was collateral damage.
-        from repro.core.engine import _Job, _Lane
-
+        kill_early = tmp_path / "early"
+        kill_late = tmp_path / "late"
+        kill_early.mkdir()
+        kill_late.mkdir()
+        faults = (
+            KillWorkerAtChunk(chunk_index=2, marker_dir=str(kill_early), times=1),
+            KillWorkerAtChunk(chunk_index=9, marker_dir=str(kill_late), times=1),
+        )
         with SynthesisEngine(
             unnoised_model,
             acs_splits.seeds,
             params,
-            num_workers=2,
+            num_workers=3,
             chunk_size=16,
             batch_size=8,
-            max_chunk_retries=1,
+            fault_injector=FaultChain(faults),
         ) as engine:
-            engine.run_attempts(16, base_seed=0)
-            job = _Job(
-                job_id=99,
-                chunk_size=16,
-                batch_size=8,
-                lanes=(_Lane(limit=48, base_seed=3, target_released=None),),
-                plan=None,
-                completed=frozenset(),
-            )
-            engine._next_chunk.value = 2
-            engine._chunk_retries = {1: 1}  # already crash-retried once
-            engine._retry_pending = set()
-            engine._requeue_swallowed_chunks(job, {0: object()})
-            assert engine._retry_queue.get(timeout=1.0) == 1
-            assert engine._chunk_retries == {1: 1}  # unchanged, not exhausted
-
-
-class TestPoolRebuild:
-    """Recovery from a wedged pool: a SIGKILL landing inside the shared
-    results queue's feeder lock silences every surviving worker, so the
-    engine rebuilds the whole pool on fresh queues and resumes the job
-    from the chunks already delivered."""
-
-    def test_rebuild_pool_recovers_a_usable_pool(
-        self, unnoised_model, acs_splits, params
-    ):
-        with SynthesisEngine(
-            unnoised_model,
-            acs_splits.seeds,
-            params,
-            num_workers=2,
-            chunk_size=16,
-            batch_size=8,
-        ) as engine:
-            first = engine.run_attempts(48, base_seed=7)
-            engine._rebuild_pool()
-            second = engine.run_attempts(48, base_seed=7)
+            report = engine.run_attempts(240, base_seed=8)
             health = engine.pool_health()
-        assert health["pool_rebuilds"] == 1
-        assert health["workers_alive"] == 2
-        assert not health["broken"]
-        assert_reports_identical(first, second)
+        assert [fault.kills_fired() for fault in faults] == [1, 1]
+        assert health["worker_restarts"] == 2
+        assert health["chunk_retries"] == {2: 1, 9: 1}
+        assert health["workers_alive"] == 3
+        expected = serial_report(
+            unnoised_model, acs_splits, params, num_attempts=240, base_seed=8
+        )
+        assert_reports_identical(expected, report)
 
-    def test_wedged_job_resumes_bit_identically_after_rebuild(
+    def test_idle_worker_death_is_respawned_without_a_retry(
         self, unnoised_model, acs_splits, params
     ):
-        from repro.core.engine import _PoolStuckError, chunk_rng
-
         with SynthesisEngine(
             unnoised_model,
             acs_splits.seeds,
@@ -318,38 +315,83 @@ class TestPoolRebuild:
             chunk_size=16,
             batch_size=8,
         ) as engine:
-            real = engine._run_on_pool
-            calls = {"n": 0}
-
-            def flaky(job, reports, tracker, run_id):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    # Chunk 0 was delivered before the pool wedged.
-                    lane = job.lanes[0]
-                    reports[0] = engine._mechanism().run_attempts(
-                        job.chunk_attempts(0),
-                        chunk_rng(lane.base_seed, 0),
-                        batch_size=job.batch_size,
-                    )
-                    raise _PoolStuckError("simulated wedge")
-                # The resumed job adopted the delivered prefix as completed.
-                assert 0 in job.completed
-                return real(job, reports, tracker, run_id)
-
-            engine._run_on_pool = flaky
+            engine.start()
+            victim = engine._processes[0]
+            victim.kill()
+            victim.join(timeout=10)
+            assert not victim.is_alive()
             report = engine.run_attempts(48, base_seed=11)
             health = engine.pool_health()
-        assert calls["n"] == 2
-        assert health["pool_rebuilds"] == 1
+        assert health["worker_restarts"] == 1
+        assert health["chunk_retries"] == {}
+        assert health["workers_alive"] == 2
         expected = serial_report(
             unnoised_model, acs_splits, params, num_attempts=48, base_seed=11
         )
         assert_reports_identical(expected, report)
 
-    def test_repeatedly_wedged_job_breaks_the_engine(
+    def test_worker_start_failure_breaks_the_engine(
+        self, unnoised_model, acs_splits, params, monkeypatch
+    ):
+        # A worker that cannot attach its segment reports the error instead of
+        # "ready": the engine is broken for good (an EnginePool then evicts it)
+        # rather than closed behind a plain RuntimeError.
+        build = SynthesisEngine._build_worker_spec
+        monkeypatch.setattr(
+            SynthesisEngine,
+            "_build_worker_spec",
+            lambda engine: dataclasses.replace(
+                build(engine), seed_segment="repro_missing_segment"
+            ),
+        )
+        engine = SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, num_workers=2, chunk_size=16
+        )
+        try:
+            with pytest.raises(EngineBrokenError, match="failed to start"):
+                engine.start()
+            assert engine.pool_health()["broken"]
+            with pytest.raises(EngineBrokenError):
+                engine.run_attempts(16, base_seed=1)
+        finally:
+            engine.close()
+
+
+class TestAbandonedJobs:
+    """A job that fails or is interrupted leaves workers busy; the next job
+    discards their replies and still matches the serial reference."""
+
+    def test_worker_exception_fails_the_job_but_not_the_engine(
         self, unnoised_model, acs_splits, params
     ):
-        from repro.core.engine import _PoolStuckError
+        with SynthesisEngine(
+            unnoised_model,
+            acs_splits.seeds,
+            params,
+            num_workers=2,
+            chunk_size=16,
+            batch_size=8,
+            fault_injector=RaiseAtChunk(chunk_index=1),
+        ) as engine:
+            with pytest.raises(RuntimeError, match="injected failure at chunk 1"):
+                engine.run_attempts(96, base_seed=11)
+            report = engine.run_attempts(16, base_seed=11)  # chunk 0 only
+            health = engine.pool_health()
+        assert health["worker_restarts"] == 0
+        assert not health["broken"]
+        expected = serial_report(
+            unnoised_model, acs_splits, params, num_attempts=16, base_seed=11
+        )
+        assert_reports_identical(expected, report)
+
+    def test_interrupted_job_leaves_no_stale_chunks(
+        self, unnoised_model, acs_splits, params
+    ):
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(progress):
+            raise Interrupt
 
         with SynthesisEngine(
             unnoised_model,
@@ -358,19 +400,40 @@ class TestPoolRebuild:
             num_workers=2,
             chunk_size=16,
             batch_size=8,
+            fault_injector=DelayAtChunk(chunk_index=1),
         ) as engine:
+            with pytest.raises(Interrupt):
+                engine.run_attempts(96, base_seed=5, progress=interrupt)
+            # Same chunk indices, different streams: a stale reply merged into
+            # this job would show up as a mismatch against the serial run.
+            report = engine.run_attempts(96, base_seed=6)
+        expected = serial_report(
+            unnoised_model, acs_splits, params, num_attempts=96, base_seed=6
+        )
+        assert_reports_identical(expected, report)
 
-            def always_wedged(job, reports, tracker, run_id):
-                raise _PoolStuckError("simulated wedge")
+    def test_close_stops_busy_workers_cleanly(
+        self, unnoised_model, acs_splits, params
+    ):
+        def interrupt(progress):
+            raise KeyboardInterrupt
 
-            engine._run_on_pool = always_wedged
-            with pytest.raises(EngineBrokenError):
-                engine.run_attempts(48, base_seed=11)
-            assert engine.pool_health()["broken"]
-            assert (
-                engine.pool_health()["pool_rebuilds"]
-                == engine._MAX_POOL_REBUILDS
-            )
+        engine = SynthesisEngine(
+            unnoised_model,
+            acs_splits.seeds,
+            params,
+            num_workers=2,
+            chunk_size=16,
+            batch_size=8,
+            fault_injector=DelayAtChunk(chunk_index=1),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_attempts(96, base_seed=5, progress=interrupt)
+        processes = list(engine._processes)
+        engine.close()
+        # Each worker left its loop on its own (exit code 0), none needed
+        # the terminate() fallback.
+        assert [process.exitcode for process in processes] == [0, 0]
 
 
 class TestKillFaultHarness:

@@ -168,7 +168,6 @@ class _FakeEngine:
             "broken": self.broken,
             "workers_alive": 0 if self.closed else 1,
             "worker_restarts": 0,
-            "pool_rebuilds": 0,
         }
 
     def close(self):
@@ -289,7 +288,6 @@ class TestEnginePool:
             "busy": 1,
             "workers_alive": 1,
             "worker_restarts": 0,
-            "pool_rebuilds": 0,
             "broken": 0,
         }
         assert health["worker_budget"] == 8

@@ -38,7 +38,6 @@ REQUIRED_METRICS = (
     "repro_fold_lanes",
     "repro_engine_utilization",
     "repro_chunk_retries_total",
-    "repro_pool_rebuilds_total",
     "repro_privacy_test_attempts_total",
     "repro_privacy_scan_fraction",
     "repro_tenant_rows_spent_total",
