@@ -16,7 +16,11 @@ reproduces that with a long-lived execution layer:
   load instead of idling behind a static split.  The parent also counts the
   releases each request has received and stops handing out its chunks once
   the target is met, so an until-N run stops within about one chunk per
-  worker of the target instead of burning a static attempt budget.
+  worker of the target instead of burning a static attempt budget.  Each
+  until-N chunk itself runs the mechanism's until-N loop with the lane's
+  target minus the releases of its contiguous received prefix, so it ends at
+  the batch that holds the lane's Nth release; fixed-budget chunks run in
+  full.
 
 * **Deterministic chunk streams.**  Chunk ``i`` always uses the RNG stream
   ``SeedSequence(base_seed, spawn_key=(i,))`` (exactly the ``i``-th spawned
@@ -25,6 +29,8 @@ reproduces that with a long-lived execution layer:
   merged report is the in-order concatenation of the chunk reports truncated
   at the Nth release, which makes every worker count produce the *identical*
   release and accounting as the serial in-process run on the same chunks.
+  A chunk that stopped early is a prefix of the full chunk that reaches past
+  the point where the merge truncates, so stopping early changes no row.
   Chunks a speculating worker completes beyond that point are discarded
   without being recorded; like the unrecorded remainder of the final batch in
   the mechanism's until-N loop, they are i.i.d. proposals whose omission
@@ -40,10 +46,12 @@ reproduces that with a long-lived execution layer:
   contain.  The serving layer uses this to turn K queued requests for one
   model into one fused scan instead of K convoyed runs.
 
-* **Streaming reports and checkpoints.**  Chunk reports arrive incrementally
-  (``progress`` callback) and can be checkpointed to a
-  :class:`~repro.core.run_store.RunStore`, so a crashed or repeated run
-  resumes from its completed chunks instead of regenerating them.
+* **Streaming columnar reports and checkpoints.**  Chunk reports arrive
+  incrementally (``progress`` callback) as the columns of
+  :meth:`~repro.core.results.SynthesisReport.to_arrays` and can be
+  checkpointed to a :class:`~repro.core.run_store.RunStore` under the same
+  keys, so a crashed or repeated run resumes from its completed chunks
+  instead of regenerating them.
 
 * **Worker supervision with deterministic chunk retry.**  The parent knows
   which chunk each worker holds, and it waits on the pipes and the process
@@ -136,6 +144,8 @@ class ChunkProgress:
     ``lane_index`` identifies which fold lane (request) owns the chunk —
     always 0 for unfolded single-request jobs — so the serving layer can
     attribute per-chunk telemetry spans to the right request.
+    ``chunk_attempts`` counts the attempts the chunk proposed: fewer than
+    its size when an until-N chunk stopped early.
     """
 
     chunk_index: int
@@ -361,12 +371,33 @@ def _build_worker_mechanism(spec: _WorkerSpec, segments: list[SharedMemory]) -> 
 
 
 class _ChunkTask(NamedTuple):
-    """One chunk sent to a worker: its lane's RNG stream and its size."""
+    """One chunk sent to a worker: its lane's RNG stream, its size and, for
+    an until-N lane, the releases the chunk may stop at (``None``: run all
+    attempts)."""
 
     index: int
     base_seed: int
     local_index: int
     attempts: int
+    need: int | None
+
+
+def _run_chunk(
+    mechanism: SynthesisMechanism, task: _ChunkTask, batch_size: int | None
+) -> SynthesisReport:
+    """One chunk's report: the mechanism's loop on the chunk's RNG stream.
+
+    An until-N chunk stops at the batch that holds its ``need``-th release.
+    Its report is then a prefix of the full chunk's, and since ``need`` never
+    falls below what the lane still lacks, the merge truncates inside that
+    prefix: the merged rows are those of a full-chunk run.
+    """
+    rng = chunk_rng(task.base_seed, task.local_index)
+    if task.need is None:
+        return mechanism.run_attempts(task.attempts, rng, batch_size=batch_size)
+    return mechanism.generate(
+        task.need, rng, max_attempts=task.attempts, batch_size=batch_size
+    )
 
 
 def _worker_main(spec: _WorkerSpec, conn, fault) -> None:
@@ -392,12 +423,7 @@ def _worker_main(spec: _WorkerSpec, conn, fault) -> None:
             try:
                 if fault is not None:
                     fault.fire(task.index)
-                report = mechanism.run_attempts(
-                    task.attempts,
-                    chunk_rng(task.base_seed, task.local_index),
-                    batch_size=spec.batch_size,
-                )
-                reply = ("chunk", report.to_arrays())
+                reply = ("chunk", _run_chunk(mechanism, task, spec.batch_size).to_arrays())
             except Exception:
                 reply = ("error", traceback.format_exc())
             conn.send(reply)
@@ -846,15 +872,19 @@ class SynthesisEngine:
         for lane_index, lane in enumerate(job.lanes):
             released = 0
             for local_index, index in enumerate(lane_globals[lane_index]):
-                if lane.target_released is not None and released >= lane.target_released:
+                target = lane.target_released
+                if target is not None and released >= target:
                     break
                 report = reports.get(index)
                 if report is None:
-                    report = mechanism.run_attempts(
+                    task = _ChunkTask(
+                        index,
+                        lane.base_seed,
+                        local_index,
                         lane.chunk_attempts(local_index, job.chunk_size),
-                        chunk_rng(lane.base_seed, local_index),
-                        batch_size=job.batch_size,
+                        None if target is None else target - released,
                     )
+                    report = _run_chunk(mechanism, task, job.batch_size)
                     reports[index] = report
                     self._save_checkpoint(run_id, index, report.to_arrays())
                     tracker.emit(index, report)
@@ -875,7 +905,10 @@ class SynthesisEngine:
         releases already meet its target.  The plan keeps lane-local order,
         so every chunk below a skipped one is received or held by a worker
         (and requeued if that worker dies): skipping never opens a gap in a
-        lane's merged prefix.
+        lane's merged prefix.  A requeued chunk is dropped instead once its
+        lane's prefix is satisfied.  An until-N chunk may stop at the lane's
+        target minus the releases of its contiguous received prefix, a bound
+        the chunk's final share of the merge never exceeds.
         """
         while any(held is not None for held in self._held):
             self._next_replies()  # replies to a returned or failed job: discard
@@ -888,8 +921,10 @@ class SynthesisEngine:
         fresh = iter(range(job.num_chunks))
 
         def next_chunk() -> int | None:
-            if requeued:
-                return requeued.popleft()
+            while requeued:
+                index = requeued.popleft()
+                if not prefix.lane_satisfied(job.entry(index)[0]):
+                    return index
             for index in fresh:
                 lane_index, _local_index = job.entry(index)
                 target = job.lanes[lane_index].target_released
@@ -902,7 +937,8 @@ class SynthesisEngine:
         while not prefix.all_satisfied():
             for slot, held in enumerate(self._held):
                 if held is None and (index := next_chunk()) is not None:
-                    self._send_chunk(slot, job, index)
+                    need = prefix.need(job.entry(index)[0])
+                    self._send_chunk(slot, job, index, need)
             if all(held is None for held in self._held):
                 break  # nothing left to run; _finalize reports any shortfall
             for kind, index, payload in self._next_replies():
@@ -920,11 +956,15 @@ class SynthesisEngine:
                     tracker.emit(index, report)
                     prefix.advance(lane_index)
 
-    def _send_chunk(self, slot: int, job: _Job, index: int) -> None:
+    def _send_chunk(self, slot: int, job: _Job, index: int, need: int | None) -> None:
         """Hand chunk ``index`` to the idle worker of ``slot``."""
         lane_index, local_index = job.entry(index)
         task = _ChunkTask(
-            index, job.lanes[lane_index].base_seed, local_index, job.chunk_attempts(index)
+            index,
+            job.lanes[lane_index].base_seed,
+            local_index,
+            job.chunk_attempts(index),
+            need,
         )
         try:
             self._conns[slot].send(task)
@@ -1144,6 +1184,12 @@ class _FoldPrefix:
             self._released[lane_index] += self._reports[lane_order[local]].num_released
             local += 1
         self._local[lane_index] = local
+
+    def need(self, lane_index: int) -> int | None:
+        """Releases an unreceived chunk of the lane may stop at: the target
+        minus the prefix's releases (``None`` for a fixed-budget lane)."""
+        target = self._job.lanes[lane_index].target_released
+        return None if target is None else target - self._released[lane_index]
 
     def lane_satisfied(self, lane_index: int) -> bool:
         lane = self._job.lanes[lane_index]

@@ -18,18 +18,26 @@ mechanism offers a batched path (:meth:`propose_batch` /
 :meth:`run_attempts_batched`) that pushes whole blocks of seeds through the
 model's vectorized generation and probability interfaces — the hot path for
 producing millions of records (Section 5, Figure 5).
+
+Every path returns a columnar :class:`~repro.core.results.SynthesisReport`:
+a batch is its seed indices, its candidate matrix and the privacy test's
+outcome columns, with no per-candidate object.  The reference loop builds
+one-row reports and concatenates them, so it yields the same columns and
+stays the oracle for the batched path.  :meth:`generate` stops at the batch
+that holds the Nth release, which is what lets an engine chunk end early.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.obs.profile import phase as obs_phase
 from repro.generative.base import GenerativeModel
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
+    PrivacyTestColumns,
     make_privacy_test,
     partition_numbers,
 )
@@ -161,8 +169,8 @@ class SynthesisMechanism:
     # ------------------------------------------------------------------ #
     # Single-candidate operation
     # ------------------------------------------------------------------ #
-    def propose(self, rng: np.random.Generator) -> SynthesisAttempt:
-        """Run steps 1-3 of Mechanism 1 once and return the attempt."""
+    def propose(self, rng: np.random.Generator) -> SynthesisReport:
+        """Run steps 1-3 of Mechanism 1 once; a one-attempt report."""
         seed_index = int(rng.integers(len(self._seeds)))
         seed = self._seeds.record(seed_index)
         candidate = self._model.generate(seed, rng)
@@ -173,22 +181,31 @@ class SynthesisMechanism:
         seed_index: int,
         candidate: np.ndarray,
         rng: np.random.Generator,
-    ) -> SynthesisAttempt:
-        """Run the privacy test for an externally generated candidate."""
+    ) -> SynthesisReport:
+        """Run the privacy test for an externally generated candidate.
+
+        The scalar reference path: the one-attempt report it returns holds
+        the same columns the batched path computes for this candidate.
+        """
         seed = self._seeds.record(seed_index)
         seed_probability = self._model.seed_probability(seed, candidate)
         dataset_probabilities = self._model.batch_seed_probabilities(
             self._seeds.data, candidate
         )
         result = self._test(seed_probability, dataset_probabilities, rng)
-        return SynthesisAttempt(seed_index=seed_index, candidate=candidate, test=result)
+        return SynthesisReport.from_tests(
+            self._seeds.schema,
+            np.array([seed_index], dtype=np.int64),
+            np.asarray(candidate, dtype=np.int64).reshape(1, -1),
+            PrivacyTestColumns.from_results([result]),
+        )
 
     # ------------------------------------------------------------------ #
     # Batched operation
     # ------------------------------------------------------------------ #
     def propose_batch(
         self, batch_size: int, rng: np.random.Generator
-    ) -> list[SynthesisAttempt]:
+    ) -> SynthesisReport:
         """Run steps 1-3 of Mechanism 1 for a whole block of candidates at once.
 
         Seeds are drawn, candidates generated and the privacy test evaluated
@@ -197,7 +214,8 @@ class SynthesisMechanism:
         :meth:`~repro.generative.base.GenerativeModel.batch_probability_matrix`),
         so the per-candidate Python overhead of :meth:`propose` is amortized
         over the batch.  Each candidate's release decision is still
-        independent, exactly as in the sequential loop.
+        independent, exactly as in the sequential loop.  The result is the
+        batch's ``batch_size``-attempt report.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
@@ -210,7 +228,7 @@ class SynthesisMechanism:
             fast_counts = self._fast_batch_counts(seed_indices, candidates)
             if fast_counts is not None:
                 counts, partitions, checked, saturated = fast_counts
-                results = self._test.results_from_counts(
+                tests = self._test.results_from_counts(
                     counts, partitions, checked, rng, saturated=saturated
                 )
             else:
@@ -222,17 +240,15 @@ class SynthesisMechanism:
                 seed_probabilities = probability_matrix[
                     np.arange(batch_size), seed_indices
                 ]
-                results = self._test.run_batch(
+                tests = self._test.run_batch(
                     seed_probabilities, probability_matrix, rng
                 )
-        return [
-            SynthesisAttempt(
-                seed_index=int(seed_indices[index]),
-                candidate=candidates[index].copy(),
-                test=results[index],
-            )
-            for index in range(batch_size)
-        ]
+        return SynthesisReport.from_tests(
+            self._seeds.schema,
+            np.asarray(seed_indices, dtype=np.int64),
+            np.asarray(candidates, dtype=np.int64),
+            tests,
+        )
 
     def _fast_batch_counts(
         self, seed_indices: np.ndarray, candidates: np.ndarray
@@ -309,14 +325,7 @@ class SynthesisMechanism:
             raise ValueError("num_attempts must be non-negative")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        report = SynthesisReport(schema=self._seeds.schema)
-        remaining = num_attempts
-        while remaining > 0:
-            size = min(batch_size, remaining)
-            for attempt in self.propose_batch(size, rng):
-                report.record(attempt)
-            remaining -= size
-        return report
+        return self._propose_until(num_attempts, None, rng, batch_size)
 
     def generate(
         self,
@@ -331,28 +340,20 @@ class SynthesisMechanism:
         attempts per requested record); the report may therefore contain fewer
         released records than requested when the privacy parameters are
         strict.  With ``batch_size`` set, candidates are proposed through the
-        vectorized batch path; recording stops at the Nth release exactly as
-        in the reference loop (the unrecorded i.i.d. remainder of the final
-        batch introduces no bias), so the released count never overshoots —
-        every release costs privacy budget.
+        vectorized batch path and no batch is drawn after the one holding the
+        Nth release; the report ends at that release exactly as in the
+        reference loop (the unrecorded i.i.d. remainder of the final batch
+        introduces no bias), so the released count never overshoots — every
+        release costs privacy budget.  The batches drawn are those of
+        :meth:`run_attempts` with the same ``max_attempts``, so this report is
+        always a prefix of that one.
         """
         if num_released < 0:
             raise ValueError("num_released must be non-negative")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive when provided")
         limit = max_attempts if max_attempts is not None else 100 * max(1, num_released)
-        report = SynthesisReport(schema=self._seeds.schema)
-        if batch_size is None or batch_size == 1:
-            while report.num_released < num_released and report.num_attempts < limit:
-                report.record(self.propose(rng))
-            return report
-        while report.num_released < num_released and report.num_attempts < limit:
-            size = min(batch_size, limit - report.num_attempts)
-            for attempt in self.propose_batch(size, rng):
-                report.record(attempt)
-                if report.num_released >= num_released:
-                    break
-        return report
+        return self._propose_until(limit, num_released, rng, _batched(batch_size))
 
     def run_attempts(
         self,
@@ -362,14 +363,39 @@ class SynthesisMechanism:
     ) -> SynthesisReport:
         """Propose exactly ``num_attempts`` candidates (used for pass-rate studies).
 
-        ``batch_size`` > 1 dispatches to :meth:`run_attempts_batched`; ``None``
-        or 1 runs the single-record reference loop.
+        ``batch_size`` > 1 proposes in vectorized batches; ``None`` or 1 runs
+        the single-record reference loop.
         """
         if num_attempts < 0:
             raise ValueError("num_attempts must be non-negative")
-        if batch_size is not None and batch_size > 1:
-            return self.run_attempts_batched(num_attempts, rng, batch_size)
-        report = SynthesisReport(schema=self._seeds.schema)
-        for _ in range(num_attempts):
-            report.record(self.propose(rng))
-        return report
+        return self._propose_until(num_attempts, None, rng, _batched(batch_size))
+
+    def _propose_until(
+        self,
+        limit: int,
+        num_released: int | None,
+        rng: np.random.Generator,
+        batch_size: int | None,
+    ) -> SynthesisReport:
+        """Propose up to ``limit`` candidates, stopping once ``num_released``
+        have passed (never, for ``None``), in batches of ``batch_size``
+        (``None``: the single-record reference loop)."""
+        batches: list[SynthesisReport] = []
+        attempts = released = 0
+        while attempts < limit and (num_released is None or released < num_released):
+            if batch_size is None:
+                batch = self.propose(rng)
+            else:
+                batch = self.propose_batch(min(batch_size, limit - attempts), rng)
+            batches.append(batch)
+            attempts += batch.num_attempts
+            released += batch.num_released
+        return SynthesisReport.merged(
+            self._seeds.schema, batches, stop_after_released=num_released
+        )
+
+
+def _batched(batch_size: int | None) -> int | None:
+    """The batch size of the vectorized path, or ``None`` for the reference
+    loop (which ``None`` and 1 select)."""
+    return batch_size if batch_size is not None and batch_size > 1 else None

@@ -270,7 +270,9 @@ class RunStore:
             if match is None:
                 continue
             try:
-                with np.load(path) as archive:
+                # The handle gets its own context: np.load can raise on a
+                # corrupt archive before its NpzFile owns (and closes) it.
+                with path.open("rb") as handle, np.load(handle) as archive:
                     chunks[int(match.group(1))] = {
                         name: archive[name] for name in archive.files
                     }

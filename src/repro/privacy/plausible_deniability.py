@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from repro.privacy.laplace import laplace_noise
 __all__ = [
     "PlausibleDeniabilityParams",
     "PrivacyTestResult",
+    "PrivacyTestColumns",
     "DeterministicPrivacyTest",
     "RandomizedPrivacyTest",
     "make_privacy_test",
@@ -122,6 +124,59 @@ class PrivacyTestResult:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+class PrivacyTestColumns(NamedTuple):
+    """Outcomes of a privacy test on a batch of candidates, one array per field.
+
+    Row ``i`` holds the fields of candidate ``i``'s :class:`PrivacyTestResult`.
+    The batched tests return this directly, so a batch never builds
+    per-candidate objects.
+    """
+
+    passed: np.ndarray
+    plausible_seeds: np.ndarray
+    partition_indices: np.ndarray
+    thresholds: np.ndarray
+    records_checked: np.ndarray
+    count_saturated: np.ndarray
+
+    @classmethod
+    def from_results(cls, results: Sequence[PrivacyTestResult]) -> "PrivacyTestColumns":
+        """Stack single-candidate results (the scalar reference path)."""
+        return cls(
+            passed=np.array([r.passed for r in results], dtype=bool),
+            plausible_seeds=np.array([r.plausible_seeds for r in results], dtype=np.int64),
+            partition_indices=np.array([r.partition_index for r in results], dtype=np.int64),
+            thresholds=np.array([r.threshold for r in results], dtype=np.float64),
+            records_checked=np.array([r.records_checked for r in results], dtype=np.int64),
+            count_saturated=np.array([r.count_saturated for r in results], dtype=bool),
+        )
+
+
+def _columns(
+    counts: np.ndarray,
+    thresholds: np.ndarray,
+    partitions: np.ndarray,
+    checked: np.ndarray,
+    saturated: np.ndarray | None,
+) -> PrivacyTestColumns:
+    """A batch's columns: each candidate passes iff its count reaches its
+    threshold."""
+    counts = np.asarray(counts, dtype=np.int64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    return PrivacyTestColumns(
+        passed=counts >= thresholds,
+        plausible_seeds=counts,
+        partition_indices=np.asarray(partitions, dtype=np.int64),
+        thresholds=thresholds,
+        records_checked=np.asarray(checked, dtype=np.int64),
+        count_saturated=(
+            np.zeros(counts.size, dtype=bool)
+            if saturated is None
+            else np.asarray(saturated, dtype=bool)
+        ),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -383,7 +438,7 @@ class DeterministicPrivacyTest:
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
         rng: np.random.Generator | None = None,
-    ) -> list[PrivacyTestResult]:
+    ) -> PrivacyTestColumns:
         """Run the test on a whole batch of candidates in one vectorized pass."""
         params = self._params
         counts, partitions, checked, saturated = batch_plausible_seed_counts(
@@ -404,20 +459,10 @@ class DeterministicPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-    ) -> list[PrivacyTestResult]:
-        """Build per-candidate results from already-computed plausible counts."""
-        params = self._params
-        return [
-            PrivacyTestResult(
-                passed=bool(counts[index] >= params.k),
-                plausible_seeds=int(counts[index]),
-                partition_index=int(partitions[index]),
-                threshold=float(params.k),
-                records_checked=int(checked[index]),
-                count_saturated=bool(saturated[index]) if saturated is not None else False,
-            )
-            for index in range(len(counts))
-        ]
+    ) -> PrivacyTestColumns:
+        """The batch's outcome columns from already-computed plausible counts."""
+        thresholds = np.full(len(counts), float(self._params.k))
+        return _columns(counts, thresholds, partitions, checked, saturated)
 
 
 class RandomizedPrivacyTest:
@@ -472,7 +517,7 @@ class RandomizedPrivacyTest:
         seed_probabilities: np.ndarray,
         probability_matrix: np.ndarray,
         rng: np.random.Generator | None = None,
-    ) -> list[PrivacyTestResult]:
+    ) -> PrivacyTestColumns:
         """Vectorized Privacy Test 2: one Laplace threshold draw per candidate."""
         params = self._params
         if rng is None:
@@ -495,25 +540,15 @@ class RandomizedPrivacyTest:
         rng: np.random.Generator | None = None,
         *,
         saturated: np.ndarray | None = None,
-    ) -> list[PrivacyTestResult]:
-        """Build per-candidate results, drawing one Laplace threshold each."""
+    ) -> PrivacyTestColumns:
+        """The batch's outcome columns, drawing one Laplace threshold each."""
         params = self._params
         if rng is None:
             raise ValueError("the batched randomized test requires an rng")
         assert params.epsilon0 is not None
         # Accounted per Theorem 1 at release time.  # repro: allow[privacy-unrecorded-noise]
         thresholds = params.k + laplace_noise(1.0 / params.epsilon0, rng, size=len(counts))
-        return [
-            PrivacyTestResult(
-                passed=bool(counts[index] >= thresholds[index]),
-                plausible_seeds=int(counts[index]),
-                partition_index=int(partitions[index]),
-                threshold=float(thresholds[index]),
-                records_checked=int(checked[index]),
-                count_saturated=bool(saturated[index]) if saturated is not None else False,
-            )
-            for index in range(len(counts))
-        ]
+        return _columns(counts, thresholds, partitions, checked, saturated)
 
 
 def make_privacy_test(

@@ -200,9 +200,10 @@ class ReleaseRecord:
         """
         from repro.datasets.dataset import Dataset
 
-        released = self.report.released_dataset()
-        stop = len(released.data) if limit is None else offset + limit
-        window = Dataset(released.schema, released.data[offset:stop])
+        report = self.report
+        released = report.candidates[report.passed]
+        stop = len(released) if limit is None else offset + limit
+        window = Dataset(report.schema, released[offset:stop])
         return _jsonable(window.decoded_records())
 
     def page(self, offset: int = 0, limit: int = _DEFAULT_PAGE_LIMIT) -> dict:
@@ -708,14 +709,14 @@ class ServiceApp:
                         "from_checkpoint": p.from_checkpoint,
                     },
                 )
-            attempts = getattr(report, "attempts", None) or ()
-            checked = sum(a.test.records_checked for a in attempts)
+            attempts = report.num_attempts
+            checked = int(report.records_checked.sum())
             test_attrs = {
-                "test_attempts": len(attempts),
+                "test_attempts": attempts,
                 "records_checked": checked,
             }
             if num_seeds and attempts:
-                available = len(attempts) * num_seeds
+                available = attempts * num_seeds
                 test_attrs["scan_fraction"] = checked / available
                 obs.privacy_records_available_total.inc(available)
             obs.tracer.record_span(
@@ -1161,6 +1162,10 @@ class ServiceApp:
 # --------------------------------------------------------------------------- #
 # HTTP front end
 # --------------------------------------------------------------------------- #
+#: What writing to a client that has already closed its socket raises.
+_CLIENT_GONE = (BrokenPipeError, ConnectionResetError)
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Thin JSON shim over :class:`ServiceApp` (stored on the server)."""
 
@@ -1213,15 +1218,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         query = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
         try:
-            self._route(method, parsed.path.rstrip("/") or "/", query)
-        except ServiceError as exc:
-            self._send_json(exc.status, exc.to_json(), headers=exc.headers())
-        except BrokenPipeError:
-            pass  # client went away mid-response
-        except Exception as exc:  # pragma: no cover - defensive 500
-            self._send_json(
-                500, {"error": f"{type(exc).__name__}: {exc}", "code": "internal"}
-            )
+            try:
+                self._route(method, parsed.path.rstrip("/") or "/", query)
+            except ServiceError as exc:
+                self._send_json(exc.status, exc.to_json(), headers=exc.headers())
+            except _CLIENT_GONE:
+                raise
+            except Exception as exc:  # pragma: no cover - defensive 500
+                self._send_json(
+                    500, {"error": f"{type(exc).__name__}: {exc}", "code": "internal"}
+                )
+        except _CLIENT_GONE:
+            pass  # the client went away; no one is left to read the response
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._handle("GET")

@@ -503,14 +503,15 @@ class RequestScheduler:
                     self._obs.requests_total.inc(status="failed")
                 future.set_exception(outcome)
             else:
-                attempts = getattr(outcome, "attempts", None) or ()
-                checked = sum(attempt.test.records_checked for attempt in attempts)
+                scans = getattr(outcome, "records_checked", None)
+                attempts = 0 if scans is None else len(scans)
+                checked = 0 if scans is None else int(scans.sum())
                 with self._lock:
                     self._stats.completed += 1
                     self._stats.records_checked += checked
-                    self._stats.test_attempts += len(attempts)
+                    self._stats.test_attempts += attempts
                 if self._obs is not None:
                     self._obs.requests_total.inc(status="completed")
-                    self._obs.privacy_test_attempts_total.inc(len(attempts))
+                    self._obs.privacy_test_attempts_total.inc(attempts)
                     self._obs.privacy_records_checked_total.inc(checked)
                 future.set_result(outcome)

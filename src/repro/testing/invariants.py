@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.engine import SynthesisEngine
 from repro.core.mechanism import SynthesisMechanism
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.datasets.dataset import Dataset
 from repro.generative.base import GenerativeModel
 from repro.generative.structure import (
@@ -216,7 +216,7 @@ def check_batched_mechanism_parity(
     mechanism: SynthesisMechanism,
     rng: np.random.Generator,
     batch_size: int = 40,
-) -> list[SynthesisAttempt]:
+) -> SynthesisReport:
     """Require batched proposals to match single-record re-evaluation.
 
     Every attempt from :meth:`~repro.core.mechanism.SynthesisMechanism.propose_batch`
@@ -230,47 +230,39 @@ def check_batched_mechanism_parity(
     Pass/fail decisions are additionally compared whenever the test is
     deterministic and scans are unrestricted — including under
     ``max_plausible`` (both paths cap identically).  Returns the batched
-    attempts.
+    report.
     """
     params = mechanism.params
     counts_are_pure = params.max_check_plausible is None
     decisions_are_pure = (
         not params.is_randomized and params.max_check_plausible is None
     )
-    attempts = mechanism.propose_batch(batch_size, rng)
-    for index, attempt in enumerate(attempts):
+    compared = [
+        (column, label)
+        for column, label, wanted in (
+            ("plausible_seeds", "plausible count", counts_are_pure),
+            ("records_checked", "records_checked", counts_are_pure),
+            ("count_saturated", "saturation flag", counts_are_pure),
+            ("partition_indices", "partition", True),
+            ("passed", "decision", decisions_are_pure),
+        )
+        if wanted
+    ]
+    batch = mechanism.propose_batch(batch_size, rng)
+    for index in range(batch.num_attempts):
+        seed_index = int(batch.seed_indices[index])
         reference = mechanism.evaluate_candidate(
-            attempt.seed_index, attempt.candidate, rng
+            seed_index, batch.candidates[index], rng
         )
-        label = f"attempt {index} (seed {attempt.seed_index})"
-        if counts_are_pure:
+        for column, label in compared:
+            batched = getattr(batch, column)[index]
+            expected = getattr(reference, column)[0]
             _require(
-                attempt.test.plausible_seeds == reference.test.plausible_seeds,
-                f"{label}: batched plausible count {attempt.test.plausible_seeds} "
-                f"!= reference {reference.test.plausible_seeds}",
+                batched == expected,
+                f"attempt {index} (seed {seed_index}): batched {label} {batched} "
+                f"!= reference {expected}",
             )
-            _require(
-                attempt.test.records_checked == reference.test.records_checked,
-                f"{label}: batched records_checked {attempt.test.records_checked} "
-                f"!= reference {reference.test.records_checked}",
-            )
-            _require(
-                attempt.test.count_saturated == reference.test.count_saturated,
-                f"{label}: batched saturation flag {attempt.test.count_saturated} "
-                f"!= reference {reference.test.count_saturated}",
-            )
-        _require(
-            attempt.test.partition_index == reference.test.partition_index,
-            f"{label}: batched partition {attempt.test.partition_index} "
-            f"!= reference {reference.test.partition_index}",
-        )
-        if decisions_are_pure:
-            _require(
-                attempt.test.passed == reference.test.passed,
-                f"{label}: batched decision {attempt.test.passed} "
-                f"!= reference {reference.test.passed}",
-            )
-    return attempts
+    return batch
 
 
 # --------------------------------------------------------------------------- #
@@ -374,50 +366,54 @@ def check_theorem1_bounds(
             if scan_limit is None
             else min(scan_limit, params.max_check_plausible)
         )
-    for index, attempt in enumerate(report.attempts):
-        test = attempt.test
+    for index in range(report.num_attempts):
+        passed = bool(report.passed[index])
+        plausible = int(report.plausible_seeds[index])
+        partition = int(report.partition_indices[index])
+        threshold = float(report.thresholds[index])
+        checked = int(report.records_checked[index])
         label = f"attempt {index}"
         _require(
-            test.partition_index >= 0,
+            partition >= 0,
             f"{label}: the true seed fell outside every probability bucket "
-            f"(partition {test.partition_index})",
+            f"(partition {partition})",
         )
         _require(
-            test.plausible_seeds >= 0,
-            f"{label}: negative plausible-seed count {test.plausible_seeds}",
+            plausible >= 0,
+            f"{label}: negative plausible-seed count {plausible}",
         )
         if params.max_check_plausible is None:
             _require(
-                test.plausible_seeds >= 1,
+                plausible >= 1,
                 f"{label}: a full scan must count the true seed itself, got "
-                f"{test.plausible_seeds}",
+                f"{plausible}",
             )
         if scan_limit is not None:
             _require(
-                test.records_checked <= scan_limit,
-                f"{label}: scanned {test.records_checked} records, limit {scan_limit}",
+                checked <= scan_limit,
+                f"{label}: scanned {checked} records, limit {scan_limit}",
             )
         if params.max_plausible is not None:
             _require(
-                test.plausible_seeds <= params.max_plausible,
-                f"{label}: plausible count {test.plausible_seeds} exceeds "
+                plausible <= params.max_plausible,
+                f"{label}: plausible count {plausible} exceeds "
                 f"max_plausible {params.max_plausible}",
             )
         if params.is_randomized:
             _require(
-                test.passed == (test.plausible_seeds >= test.threshold),
-                f"{label}: randomized decision {test.passed} contradicts count "
-                f"{test.plausible_seeds} vs threshold {test.threshold}",
+                passed == (plausible >= threshold),
+                f"{label}: randomized decision {passed} contradicts count "
+                f"{plausible} vs threshold {threshold}",
             )
         else:
             _require(
-                test.threshold == float(params.k),
-                f"{label}: deterministic threshold {test.threshold} != k={params.k}",
+                threshold == float(params.k),
+                f"{label}: deterministic threshold {threshold} != k={params.k}",
             )
             _require(
-                test.passed == (test.plausible_seeds >= params.k),
-                f"{label}: deterministic decision {test.passed} contradicts "
-                f"count {test.plausible_seeds} vs k={params.k}",
+                passed == (plausible >= params.k),
+                f"{label}: deterministic decision {passed} contradicts "
+                f"count {plausible} vs k={params.k}",
             )
 
     if params.is_randomized and params.k >= 2:

@@ -276,12 +276,11 @@ class TestMechanismBatchEquivalence:
         params = PlausibleDeniabilityParams(k=20, gamma=4.0, epsilon0=1.0)
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
         attempts = mechanism.propose_batch(40, rng)
-        thresholds = {attempt.test.threshold for attempt in attempts}
+        thresholds = set(attempts.thresholds.tolist())
         assert len(thresholds) > 1  # one Laplace draw per candidate
-        for attempt in attempts:
-            assert attempt.test.passed == (
-                attempt.test.plausible_seeds >= attempt.test.threshold
-            )
+        assert np.array_equal(
+            attempts.passed, attempts.plausible_seeds >= attempts.thresholds
+        )
 
     def test_propose_batch_with_early_termination_knobs(
         self, unnoised_model, acs_splits, rng
@@ -290,11 +289,10 @@ class TestMechanismBatchEquivalence:
             k=10, gamma=4.0, max_plausible=10, max_check_plausible=500
         )
         mechanism = SynthesisMechanism(unnoised_model, acs_splits.seeds, params)
-        for attempt in mechanism.propose_batch(30, rng):
-            assert attempt.test.records_checked <= 500
-            assert attempt.test.plausible_seeds <= 10
-            if attempt.released:
-                assert attempt.test.plausible_seeds >= 10
+        attempts = mechanism.propose_batch(30, rng)
+        assert np.all(attempts.records_checked <= 500)
+        assert np.all(attempts.plausible_seeds <= 10)
+        assert np.all(attempts.plausible_seeds[attempts.passed] >= 10)
 
     def test_propose_batch_validates_batch_size(self, det_mechanism, rng):
         with pytest.raises(ValueError):
@@ -381,7 +379,7 @@ class TestWideSchemaIndex:
         )
         # The radix overflowed and was compressed, yet releases happen.
         assert mechanism._match_index._ranks
-        assert any(attempt.test.passed for attempt in attempts)
+        assert attempts.passed.any()
 
     def test_multiplicities_match_brute_force_and_absent_prefixes_count_zero(
         self, wide_model, wide_seeds, rng

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ChunkProgress, FoldSpec, SynthesisEngine, chunk_rng
+from repro.core.results import SynthesisReport
 from repro.core.run_store import RunStore, RunStoreCorruptionError
 from repro.datasets.dataset import Dataset
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
@@ -22,6 +23,36 @@ from repro.testing.invariants import (
 @pytest.fixture(scope="module")
 def params():
     return PlausibleDeniabilityParams(k=10, gamma=4.0, epsilon0=1.0)
+
+
+def _forbid_proposals(monkeypatch):
+    """Make every candidate proposal fail: a resumed run must not propose."""
+    from repro.core.mechanism import SynthesisMechanism
+
+    def _boom(*args, **kwargs):
+        raise AssertionError("resumed run must not regenerate chunks")
+
+    monkeypatch.setattr(SynthesisMechanism, "propose", _boom)
+    monkeypatch.setattr(SynthesisMechanism, "propose_batch", _boom)
+
+
+def _full_chunk_report(model, seeds, params, spec, chunk_size, batch_size):
+    """What an until-N engine run merges to when every chunk runs in full:
+    the in-order chunk reports, truncated at the Nth release."""
+    from repro.core.mechanism import SynthesisMechanism
+
+    mechanism = SynthesisMechanism(model, seeds, params)
+    chunks = [
+        mechanism.run_attempts(
+            min(chunk_size, spec.max_attempts - start),
+            chunk_rng(spec.base_seed, index),
+            batch_size=batch_size,
+        )
+        for index, start in enumerate(range(0, spec.max_attempts, chunk_size))
+    ]
+    return SynthesisReport.merged(
+        seeds.schema, chunks, stop_after_released=spec.num_released
+    )
 
 
 class TestChunkRng:
@@ -92,7 +123,7 @@ class TestSerialEngine:
             report = engine.generate(10, base_seed=3, max_attempts=5000)
         assert report.num_released == 10
         # Truncation at the Nth release: the final recorded attempt is it.
-        assert report.attempts[-1].released
+        assert report.passed[-1]
         assert report.num_attempts <= 2 * engine.chunk_size
 
     def test_generate_respects_attempt_budget(self, unnoised_model, acs_splits):
@@ -146,6 +177,91 @@ class TestSerialEngine:
         engine.close()
         with pytest.raises(RuntimeError):
             engine.run_attempts(1)
+
+
+class TestEarlyStoppingChunks:
+    def test_sixteen_rows_take_one_batch(
+        self, unnoised_model, acs_splits, params, monkeypatch
+    ):
+        # At k=10 this model releases (nearly) every candidate, so the first
+        # 256-candidate batch of the 512-attempt chunk already holds the 16th
+        # release: the chunk must stop there instead of proposing a second
+        # batch, and the rows must be those of the full chunk.
+        from repro.core.mechanism import SynthesisMechanism
+
+        calls = []
+        propose_batch = SynthesisMechanism.propose_batch
+
+        def counted(self, batch_size, rng):
+            calls.append(batch_size)
+            return propose_batch(self, batch_size, rng)
+
+        monkeypatch.setattr(SynthesisMechanism, "propose_batch", counted)
+        events: list[ChunkProgress] = []
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=512, batch_size=256
+        ) as engine:
+            report = engine.generate(16, base_seed=1, progress=events.append)
+        assert calls == [256]
+        assert [event.chunk_attempts for event in events] == [report.num_attempts]
+        assert report.num_released == 16
+        monkeypatch.undo()
+        expected = _full_chunk_report(
+            unnoised_model, acs_splits.seeds, params,
+            FoldSpec(num_released=16, base_seed=1, max_attempts=1600), 512, 256,
+        )
+        assert_reports_identical(expected, report)
+
+    @pytest.mark.parametrize("batch_size", [None, 8], ids=["loop", "b8"])
+    def test_matches_full_chunks(self, unnoised_model, acs_splits, params, batch_size):
+        specs = [
+            FoldSpec(num_released=released, base_seed=40 + released, max_attempts=96)
+            for released in (1, 5, 13, 21, 40)
+        ]
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=batch_size
+        ) as engine:
+            folded = engine.generate_folded(specs)
+        for spec, report in zip(specs, folded):
+            expected = _full_chunk_report(
+                unnoised_model, acs_splits.seeds, params, spec, 16, batch_size
+            )
+            assert_reports_identical(expected, report, context=str(spec))
+
+    def test_truncated_checkpoints_resume_identically(
+        self, unnoised_model, acs_splits, params, tmp_path, monkeypatch
+    ):
+        store = RunStore(tmp_path / "store")
+        run = dict(base_seed=21, max_attempts=400, run_id="early")
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            chunk_size=16, batch_size=8, run_store=store,
+        ) as engine:
+            original = engine.generate(40, **run)
+        chunks = store.load_chunks("early")
+        last = max(chunks)
+        assert chunks[last]["passed"].size < 16  # the final chunk stopped early
+        # Resuming from the truncated checkpoints proposes nothing and merges
+        # to the same report.
+        with monkeypatch.context() as patch:
+            _forbid_proposals(patch)
+            with SynthesisEngine(
+                unnoised_model, acs_splits.seeds, params,
+                chunk_size=16, batch_size=8, run_store=store,
+            ) as engine:
+                resumed = engine.generate(40, **run)
+        assert_reports_identical(original, resumed)
+        # Without the truncated chunk, a 2-worker pool regenerates it (the
+        # lane's need is recomputed from the resumed prefix) identically.
+        (store.root / "runs" / "early" / f"chunk_{last:08d}.npz").unlink()
+        events: list[ChunkProgress] = []
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params,
+            num_workers=2, chunk_size=16, batch_size=8, run_store=store,
+        ) as engine:
+            regenerated = engine.generate(40, progress=events.append, **run)
+        assert_reports_identical(original, regenerated)
+        assert last in {e.chunk_index for e in events if not e.from_checkpoint}
 
 
 class TestWorkerPoolParity:
@@ -222,6 +338,28 @@ class TestWorkerPoolParity:
         lane_chunks = sum(1 for event in events if event.lane_index == 0)
         assert lane_chunks <= len(alone) + pool_engine.num_workers - 1
 
+    def test_lanes_met_mid_chunk_match_serial_and_full_chunks(
+        self, pool_engine, unnoised_model, acs_splits, params
+    ):
+        specs = [
+            FoldSpec(num_released=released, base_seed=60 + released, max_attempts=160)
+            for released in (5, 13, 21, 40)
+        ]
+        events: list[ChunkProgress] = []
+        folded = pool_engine.generate_folded(specs, progress=events.append)
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=8
+        ) as serial:
+            expected = serial.generate_folded(specs)
+        for lane, spec in enumerate(specs):
+            assert_reports_identical(expected[lane], folded[lane], context=f"lane {lane}")
+            assert_reports_identical(
+                _full_chunk_report(unnoised_model, acs_splits.seeds, params, spec, 16, 8),
+                folded[lane],
+                context=f"lane {lane} vs full chunks",
+            )
+        assert any(event.chunk_attempts < 16 for event in events)
+
     def test_fold_of_65_lanes_matches_standalone_generates(
         self, pool_engine, unnoised_model, acs_splits, params
     ):
@@ -257,14 +395,7 @@ class TestCheckpointing:
 
         # A fresh engine with the same store must replay from the checkpoints
         # without proposing a single new candidate.
-        from repro.core import mechanism as mechanism_module
-
-        def _boom(*args, **kwargs):
-            raise AssertionError("resumed run must not regenerate chunks")
-
-        monkeypatch.setattr(
-            mechanism_module.SynthesisMechanism, "run_attempts", _boom
-        )
+        _forbid_proposals(monkeypatch)
         with SynthesisEngine(
             unnoised_model, acs_splits.seeds, params, chunk_size=16, run_store=store
         ) as engine:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.engine import (
     ChunkRetryExhaustedError,
     EngineBrokenError,
+    FoldSpec,
     SynthesisEngine,
 )
 from repro.privacy.plausible_deniability import PlausibleDeniabilityParams
@@ -129,6 +130,40 @@ class TestCrashRecovery:
             max_attempts=2000,
         )
         assert_reports_identical(expected, report)
+
+    def test_folded_lanes_met_mid_chunk_survive_a_crash(
+        self, unnoised_model, acs_splits, params, tmp_path
+    ):
+        # Global chunk 6 of the round-robin plan is lane 2's second chunk,
+        # which its 21-row target always needs.  Killed once, it is requeued
+        # and resent with the need recomputed from the lane's prefix; every
+        # lane still matches the undisturbed serial fold bit for bit.
+        specs = [
+            FoldSpec(num_released=released, base_seed=80 + released, max_attempts=160)
+            for released in (5, 13, 21, 40)
+        ]
+        fault = KillWorkerAtChunk(chunk_index=6, marker_dir=str(tmp_path), times=1)
+        events = []
+        with SynthesisEngine(
+            unnoised_model,
+            acs_splits.seeds,
+            params,
+            num_workers=2,
+            chunk_size=16,
+            batch_size=8,
+            fault_injector=fault,
+        ) as engine:
+            folded = engine.generate_folded(specs, progress=events.append)
+            health = engine.pool_health()
+        assert fault.kills_fired() == 1
+        assert health["chunk_retries"] == {6: 1}
+        with SynthesisEngine(
+            unnoised_model, acs_splits.seeds, params, chunk_size=16, batch_size=8
+        ) as serial:
+            expected = serial.generate_folded(specs)
+        for lane in range(len(specs)):
+            assert_reports_identical(expected[lane], folded[lane], context=f"lane {lane}")
+        assert any(event.chunk_attempts < 16 for event in events)
 
     def test_pool_stays_usable_across_jobs_after_a_crash(
         self, unnoised_model, acs_splits, params, tmp_path

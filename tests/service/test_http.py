@@ -148,3 +148,54 @@ class TestEndpoints:
         assert payload["code"] == "unknown_model"
         status, payload = post(f"{server_url}/generate", {"session": "x", "rows": "y"})
         assert status == 400
+
+
+class TestGoneClient:
+    @pytest.mark.parametrize("failure", ["service_error", "internal_error"])
+    def test_error_response_to_a_closed_socket_is_dropped(self, failure):
+        # The client resets its connection while the handler is still
+        # working; writing the error response then raises
+        # ConnectionResetError/BrokenPipeError, which must not escape the
+        # handler (socketserver would print a traceback for it).
+        import socket
+        import struct
+
+        from repro.service import ServiceError
+
+        entered, closed, done = threading.Event(), threading.Event(), threading.Event()
+        app = ServiceApp(ModelRegistry(), num_workers=1)
+
+        def slow_lookup(name):
+            entered.set()
+            closed.wait(10)
+            if failure == "service_error":
+                raise ServiceError(404, "unknown_model", f"no model {name!r}")
+            raise RuntimeError("boom")
+
+        app.model = slow_lookup
+        server = build_server(app, host="127.0.0.1", port=0)
+        errors = []
+        server.handle_error = lambda request, address: errors.append(address)
+        shutdown_request = server.shutdown_request
+
+        def record_done(request):
+            shutdown_request(request)
+            done.set()
+
+        server.shutdown_request = record_done
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = socket.create_connection(server.server_address[:2], timeout=10)
+            # Linger 0: close() resets the connection instead of a FIN.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.sendall(b"GET /models/nope HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert entered.wait(10)
+            client.close()
+            closed.set()
+            assert done.wait(10)
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+        assert errors == []

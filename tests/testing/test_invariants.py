@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.results import SynthesisAttempt, SynthesisReport
+from repro.core.results import SynthesisReport
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.plausible_deniability import (
     PlausibleDeniabilityParams,
+    PrivacyTestColumns,
     PrivacyTestResult,
 )
 from repro.testing.invariants import (
@@ -33,14 +34,9 @@ def tiny_fit():
 
 def _mutated_report(report: SynthesisReport) -> SynthesisReport:
     """A copy of ``report`` with one candidate value flipped."""
-    attempts = list(report.attempts)
-    victim = attempts[0]
-    candidate = victim.candidate.copy()
-    candidate[0] = (candidate[0] + 1) % 2
-    attempts[0] = SynthesisAttempt(
-        seed_index=victim.seed_index, candidate=candidate, test=victim.test
-    )
-    return SynthesisReport(schema=report.schema, attempts=attempts)
+    candidates = report.candidates.copy()
+    candidates[0, 0] = (candidates[0, 0] + 1) % 2
+    return dataclasses.replace(report, candidates=candidates)
 
 
 class TestReportComparison:
@@ -50,9 +46,7 @@ class TestReportComparison:
             16, np.random.default_rng(0), batch_size=scenario.batch_size
         )
         assert_reports_identical(report, report)
-        assert report_accounting(report)["passed"] == [
-            attempt.released for attempt in report.attempts
-        ]
+        assert report_accounting(report)["passed"] == report.passed.tolist()
 
     def test_single_flipped_cell_detected(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
@@ -189,7 +183,7 @@ class TestBatchedParityChecker:
         attempts = check_batched_mechanism_parity(
             mechanism, np.random.default_rng(5), batch_size=12
         )
-        assert any(attempt.test.count_saturated for attempt in attempts)
+        assert attempts.count_saturated.any()
 
     def test_broken_saturation_flag_detected(self, monkeypatch):
         from repro.core.mechanism import SynthesisMechanism
@@ -202,10 +196,7 @@ class TestBatchedParityChecker:
 
         def flipped_saturation(self, seed_probabilities, probability_matrix, rng):
             results = original(self, seed_probabilities, probability_matrix, rng)
-            return [
-                dataclasses.replace(result, count_saturated=not result.count_saturated)
-                for result in results
-            ]
+            return results._replace(count_saturated=~results.count_saturated)
 
         monkeypatch.setattr(DeterministicPrivacyTest, "run_batch", flipped_saturation)
         with pytest.raises(InvariantViolation, match="saturation"):
@@ -246,15 +237,12 @@ class TestAccountantConservationChecker:
 class TestTheorem1Checker:
     @staticmethod
     def _report(schema, results):
-        attempts = [
-            SynthesisAttempt(
-                seed_index=0,
-                candidate=np.zeros(len(schema), dtype=np.int64),
-                test=result,
-            )
-            for result in results
-        ]
-        return SynthesisReport(schema=schema, attempts=attempts)
+        return SynthesisReport.from_tests(
+            schema,
+            np.zeros(len(results), dtype=np.int64),
+            np.zeros((len(results), len(schema)), dtype=np.int64),
+            PrivacyTestColumns.from_results(results),
+        )
 
     def test_real_run_passes(self, tiny_fit):
         report = tiny_fit.pipeline.mechanism.run_attempts(
