@@ -10,14 +10,109 @@ evaluation — operates on this representation.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.datasets.schema import Schema
+from repro.datasets.schema import Attribute, Schema
 
 __all__ = ["Dataset"]
+
+#: Lines split and encoded per step of the column-wise CSV reader.
+_CSV_BLOCK_LINES = 1 << 14
+
+
+def _cell_parser(attribute: Attribute) -> Callable[[str], object]:
+    """How a CSV cell of ``attribute`` becomes a raw value: ``int`` or strip."""
+    if isinstance(attribute.values[0], (int, np.integer)):
+        return int
+    return str.strip
+
+
+def _read_csv_records(
+    schema: Schema, path: Path, text: str, delimiter: str
+) -> list[list]:
+    """The raw records of a CSV text, parsed cell by cell with ``csv``."""
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"CSV file {path} is empty")
+    if [name.strip() for name in header] != schema.names:
+        raise ValueError(
+            f"CSV header {header} does not match schema columns {schema.names}"
+        )
+    parsers = [_cell_parser(attribute) for attribute in schema]
+    return [
+        [parse(cell) for cell, parse in zip(row, parsers)] for row in reader if row
+    ]
+
+
+def _cell_codes(attribute: Attribute) -> dict[str, int]:
+    """Cell text -> code for each value's own spelling (``str(value)``).
+
+    A spelling is kept only where the per-cell parse maps it to that same
+    code, so a lookup hit always agrees with :func:`_read_csv_records`.
+    """
+    parse = _cell_parser(attribute)
+    codes = {}
+    for value in attribute.values:
+        text = str(value)
+        try:
+            code = attribute.code_lookup.get(parse(text))
+        except ValueError:
+            continue
+        if code is not None:
+            codes[text] = code
+    return codes
+
+
+def _encode_plain_csv(schema: Schema, text: str, delimiter: str) -> np.ndarray | None:
+    """The code matrix of a CSV text, encoded a block of lines at a time.
+
+    Each block is split on the delimiter in one call and each column slice
+    is mapped through :func:`_cell_codes`; a cell the lookup misses
+    (surrounding whitespace, spellings such as ``045``) is parsed on its own
+    as the ``csv`` path would.  Returns ``None`` for what only that path
+    handles exactly: quote characters, a header that does not match, a row
+    with the wrong number of fields, or a cell that does not encode (whose
+    error the ``csv`` path then raises).
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if [name.strip() for name in lines[0].split(delimiter)] != schema.names:
+        return None
+    body = [line for line in lines[1:] if line]
+    del lines
+    width = len(schema)
+    fields = np.fromiter(
+        map(str.count, body, repeat(delimiter)), dtype=np.int64, count=len(body)
+    )
+    if np.any(fields != width - 1):
+        return None
+    lookups = [_cell_codes(attribute) for attribute in schema]
+    parsers = [_cell_parser(attribute) for attribute in schema]
+    codes = np.empty((len(body), width), dtype=np.int64)
+    for start in range(0, len(body), _CSV_BLOCK_LINES):
+        cells = delimiter.join(body[start : start + _CSV_BLOCK_LINES]).split(delimiter)
+        block = codes[start : start + len(cells) // width]
+        for col, attribute in enumerate(schema):
+            column = cells[col::width]
+            block[:, col] = np.fromiter(
+                map(lookups[col].get, column, repeat(-1)), dtype=np.int64, count=len(column)
+            )
+            for row in np.flatnonzero(block[:, col] < 0):
+                try:
+                    code = attribute.code_lookup.get(parsers[col](column[row]))
+                except ValueError:
+                    return None
+                if code is None:
+                    return None
+                block[row, col] = code
+    return codes
 
 
 class Dataset:
@@ -59,30 +154,20 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, schema: Schema, path: str | Path, delimiter: str = ",") -> "Dataset":
-        """Load a dataset from a CSV file with a header row of attribute names."""
+        """Load a dataset from a CSV file with a header row of attribute names.
+
+        Files without quote characters are encoded column by column
+        (:func:`_encode_plain_csv`); anything that path cannot map exactly
+        goes through the per-cell ``csv`` reader, which gives the same codes
+        and raises the same errors.
+        """
         path = Path(path)
         with path.open(newline="") as handle:
-            reader = csv.reader(handle, delimiter=delimiter)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"CSV file {path} is empty")
-            if [name.strip() for name in header] != schema.names:
-                raise ValueError(
-                    f"CSV header {header} does not match schema columns {schema.names}"
-                )
-            records = []
-            for row in reader:
-                if not row:
-                    continue
-                typed_row = []
-                for cell, attribute in zip(row, schema):
-                    sample = attribute.values[0]
-                    if isinstance(sample, (int, np.integer)):
-                        typed_row.append(int(cell))
-                    else:
-                        typed_row.append(cell.strip())
-                records.append(typed_row)
-        return cls.from_records(schema, records)
+            text = handle.read()
+        codes = _encode_plain_csv(schema, text, delimiter)
+        if codes is not None:
+            return cls(schema, codes)
+        return cls.from_records(schema, _read_csv_records(schema, path, text, delimiter))
 
     # ------------------------------------------------------------------ #
     # Basic protocol
@@ -133,6 +218,14 @@ class Dataset:
     def record(self, row: int) -> np.ndarray:
         """Encoded values of one record."""
         return self._data[row]
+
+    def compact_codes(self) -> np.ndarray:
+        """The code matrix in the schema's narrowest unsigned dtype.
+
+        The constructor already checked every code against its attribute's
+        cardinality, so the cast cannot wrap (see :attr:`Schema.code_dtype`).
+        """
+        return self._data.astype(self._schema.code_dtype)
 
     def decoded_records(self) -> list[list]:
         """All records decoded back to raw attribute values."""

@@ -11,13 +11,42 @@ of released records.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["AttributeType", "Attribute", "Schema"]
+__all__ = ["AttributeType", "Attribute", "Schema", "json_native"]
+
+
+def json_native(value):
+    """``value`` with numpy scalars unwrapped so that ``json.dumps`` takes it.
+
+    Dicts (keys as strings), lists and tuples (as lists) are converted
+    recursively; every other value is returned as it is.
+    """
+    if isinstance(value, dict):
+        return {str(key): json_native(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_native(item) for item in value]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    return value
+
+
+def _object_array(items: Sequence) -> np.ndarray:
+    """A 1-D object array of ``items`` (never a deeper array of nested lists)."""
+    array = np.empty(len(items), dtype=object)
+    for index, item in enumerate(items):
+        array[index] = item
+    return array
 
 
 class AttributeType(Enum):
@@ -92,9 +121,24 @@ class Attribute:
             return self.cardinality
         return int(np.ceil(self.cardinality / self.bucket_size))
 
+    @cached_property
+    def code_lookup(self) -> dict:
+        """The value -> code mapping (built once, then cached)."""
+        return {value: index for index, value in enumerate(self.values)}
+
+    @cached_property
+    def json_values(self) -> np.ndarray:
+        """The JSON-native form (:func:`json_native`) of each value, by code."""
+        return _object_array([json_native(value) for value in self.values])
+
+    @cached_property
+    def json_tokens(self) -> tuple[str, ...]:
+        """``json.dumps`` of each JSON-native value, by code."""
+        return tuple(json.dumps(value) for value in self.json_values)
+
     def encode(self, raw_values: Iterable) -> np.ndarray:
         """Encode raw values to integer codes (indices into ``values``)."""
-        lookup = {value: index for index, value in enumerate(self.values)}
+        lookup = self.code_lookup
         try:
             return np.array([lookup[v] for v in raw_values], dtype=np.int64)
         except KeyError as exc:
@@ -184,6 +228,50 @@ class Schema:
             return self._index[name]
         except KeyError:
             raise KeyError(f"schema has no attribute named {name!r}") from None
+
+    @property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every attribute's codes."""
+        return np.min_scalar_type(max(self.cardinalities) - 1)
+
+    def json_rows(self, codes: np.ndarray) -> list[list]:
+        """Rows of codes decoded to their JSON-native values, one list per row."""
+        cells = np.empty(codes.shape, dtype=object)
+        for col, attribute in enumerate(self._attributes):
+            cells[:, col] = attribute.json_values[codes[:, col]]
+        return cells.tolist()
+
+    def json_lines(self, codes: np.ndarray) -> str:
+        """Rows of codes as JSON lines: ``json.dumps(row) + "\\n"`` per row.
+
+        The text is byte-identical to dumping each row of :meth:`json_rows`
+        with the default separators, but it is joined from per-column token
+        tables (:meth:`_row_tokens`) in one pass instead of one
+        ``json.dumps`` per row.
+        """
+        cells = np.empty(codes.shape, dtype=object)
+        for col, tokens in enumerate(self._row_tokens):
+            cells[:, col] = tokens[codes[:, col]]
+        return "".join(cells.ravel().tolist())
+
+    @cached_property
+    def _row_tokens(self) -> list[np.ndarray]:
+        """Per column, each code's JSON token with its row separators attached.
+
+        The first column opens the row with ``[``, the others follow a
+        ``", "`` and the last one closes the row with ``]`` and a newline, so
+        a row's line is the plain concatenation of its cells' tokens.
+        """
+        last = len(self._attributes) - 1
+        return [
+            _object_array(
+                [
+                    ("[" if col == 0 else ", ") + token + ("]\n" if col == last else "")
+                    for token in attribute.json_tokens
+                ]
+            )
+            for col, attribute in enumerate(self._attributes)
+        ]
 
     def possible_records(self) -> int:
         """Size of the record universe (product of cardinalities, Table 2)."""

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.datasets.dataset import Dataset
@@ -52,6 +52,9 @@ from repro.stats.entropy import (
     symmetrical_uncertainty_from_entropies,
 )
 from repro.stats.pairwise import CrossPairwiseStats, block_entropy
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DependencyStructure", "StructureLearningConfig", "StructureLearner"]
 
@@ -104,6 +107,8 @@ class DependencyStructure:
 
     def as_digraph(self) -> nx.DiGraph:
         """The structure as a networkx directed graph (edges parent -> child)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.num_attributes))
         for child, parent_set in enumerate(self.parents):
@@ -121,6 +126,8 @@ class DependencyStructure:
     @classmethod
     def from_parent_map(cls, parents: dict[int, tuple[int, ...]], num_attributes: int) -> "DependencyStructure":
         """Build a structure from a child -> parents mapping, deriving an order."""
+        import networkx as nx
+
         parent_tuples = tuple(tuple(parents.get(i, ())) for i in range(num_attributes))
         graph = nx.DiGraph()
         graph.add_nodes_from(range(num_attributes))
@@ -482,6 +489,8 @@ class StructureLearner:
         else:
             parents = self._greedy_incremental(tables, dataset.schema)
 
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(len(parents)))
         for child, parent_set in enumerate(parents):
@@ -503,6 +512,8 @@ class StructureLearner:
         m = len(schema)
         bucket_cards = schema.bucketized_cardinalities
         cardinalities = schema.cardinalities
+
+        import networkx as nx
 
         graph = nx.DiGraph()
         graph.add_nodes_from(range(m))

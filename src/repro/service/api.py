@@ -40,6 +40,7 @@ telemetry on vs off.  Construct with ``telemetry=False`` to disable.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,6 +61,7 @@ from repro.core.engine import (
     SynthesisEngine,
 )
 from repro.core.results import SynthesisReport
+from repro.datasets.schema import Schema, json_native
 from repro.obs import Telemetry
 from repro.obs.profile import profiled
 from repro.service.engine_pool import EnginePool
@@ -160,24 +162,29 @@ def _trailing_int(identifier: str) -> int:
     return int(digits) if digits else 0
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars so payloads survive ``json.dumps``."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+#: Scheduler refusal -> (reason a cancelled hold records, HTTP status, error
+#: code, whether to send ``Retry-After``).
+_REFUSALS = {
+    QueueFullError: ("queue_full", 503, "queue_full", True),
+    DeadlineExceededError: ("deadline", 504, "deadline_exceeded", False),
+    SchedulerStoppedError: ("shutdown", 503, "shutting_down", False),
+}
+
+#: Released rows encoded and written per ``wfile.write`` of an NDJSON stream.
+_NDJSON_SLAB_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class ReleaseRecord:
-    """One completed release: its identity, rows and accounting."""
+    """One completed release: its identity, rows and accounting.
+
+    ``rows`` holds the released codes in the schema's narrowest unsigned
+    dtype and ``attempts`` the number of candidates proposed; everything the
+    record serves reads only those two.  ``report`` is the full per-attempt
+    :class:`~repro.core.results.SynthesisReport` on the record a generate
+    call returns; the release history keeps its records with ``report=None``,
+    so a held release costs its rows, not its attempts.
+    """
 
     release_id: str
     request_id: str
@@ -185,26 +192,34 @@ class ReleaseRecord:
     model_id: str
     base_seed: int
     requested_rows: int
-    report: SynthesisReport
     created_at: float
+    schema: Schema
+    rows: np.ndarray
+    attempts: int
+    report: SynthesisReport | None = None
 
     @property
     def num_released(self) -> int:
-        return self.report.num_released
+        return len(self.rows)
 
     def decoded_rows(self, offset: int = 0, limit: int | None = None) -> list[list]:
-        """A window of released rows decoded to raw attribute values.
+        """A window of released rows decoded to JSON-native attribute values.
 
         Only the requested window is decoded, so paginating a large release
         costs O(page), not O(total rows per page).
         """
-        from repro.datasets.dataset import Dataset
+        stop = None if limit is None else offset + limit
+        return self.schema.json_rows(self.rows[offset:stop])
 
-        report = self.report
-        released = report.candidates[report.passed]
-        stop = len(released) if limit is None else offset + limit
-        window = Dataset(report.schema, released[offset:stop])
-        return _jsonable(window.decoded_records())
+    def ndjson_slabs(self):
+        """The released rows as NDJSON bytes, one chunk per slab of rows.
+
+        Each line is byte-identical to ``json.dumps(row) + "\\n"`` of the
+        row's :meth:`decoded_rows` entry.
+        """
+        for start in range(0, len(self.rows), _NDJSON_SLAB_ROWS):
+            slab = self.rows[start : start + _NDJSON_SLAB_ROWS]
+            yield self.schema.json_lines(slab).encode()
 
     def page(self, offset: int = 0, limit: int = _DEFAULT_PAGE_LIMIT) -> dict:
         """One page of released rows plus the offset of the next page."""
@@ -222,6 +237,7 @@ class ReleaseRecord:
         }
 
     def describe(self) -> dict:
+        released = self.num_released
         return {
             "release_id": self.release_id,
             "request_id": self.request_id,
@@ -229,9 +245,9 @@ class ReleaseRecord:
             "model_id": self.model_id,
             "base_seed": self.base_seed,
             "requested_rows": self.requested_rows,
-            "released_rows": self.num_released,
-            "attempts": self.report.num_attempts,
-            "pass_rate": self.report.pass_rate,
+            "released_rows": released,
+            "attempts": self.attempts,
+            "pass_rate": released / self.attempts if self.attempts else 0.0,
             "created_at": self.created_at,
         }
 
@@ -418,7 +434,7 @@ class ServiceApp:
         """
         if self._audit_path is None or self._replaying:
             return
-        line = json.dumps(_jsonable(event), sort_keys=True)
+        line = json.dumps(json_native(event), sort_keys=True)
         with self._audit_lock:
             if self._audit_handle is None:
                 self._audit_handle = self._audit_path.open(
@@ -436,7 +452,7 @@ class ServiceApp:
         this sink; replayed events are suppressed (they are already in the
         journal — re-appending them would double spend on the next replay).
         """
-        event = _jsonable(event)
+        event = json_native(event)
         self._audit(event)
         if self._journal is not None and not self._replaying:
             self._journal.append(event)
@@ -541,7 +557,7 @@ class ServiceApp:
         session = self._session(session_id)
         info = session.describe()
         if include_ledger:
-            info["ledger"] = _jsonable(session.ledger())
+            info["ledger"] = json_native(session.ledger())
         return info
 
     # ------------------------------------------------------------------ #
@@ -820,7 +836,7 @@ class ServiceApp:
                 409,
                 "budget_exceeded",
                 str(exc),
-                remaining=_jsonable(exc.remaining),
+                remaining=json_native(exc.remaining),
             ) from exc
         if obs is not None:
             now = obs.clock.monotonic()
@@ -844,22 +860,7 @@ class ServiceApp:
             deadline=deadline,
             trace_parent=root.span_id if root is not None else None,
         )
-        try:
-            report = self._scheduler.submit(request).result()
-        except QueueFullError as exc:
-            session.cancel(reservation, reason="queue_full")
-            raise ServiceError(
-                503, "queue_full", str(exc), retry_after=self.RETRY_AFTER_SECONDS
-            ) from exc
-        except DeadlineExceededError as exc:
-            session.cancel(reservation, reason="deadline")
-            raise ServiceError(504, "deadline_exceeded", str(exc)) from exc
-        except SchedulerStoppedError as exc:
-            session.cancel(reservation, reason="shutdown")
-            raise ServiceError(503, "shutting_down", str(exc)) from exc
-        except BaseException:
-            session.cancel(reservation)
-            raise
+        report = self._run_request(request, session, reservation)
         t_commit = obs.clock.monotonic() if obs is not None else 0.0
         session.commit(reservation, report.num_released)
         if obs is not None:
@@ -873,6 +874,7 @@ class ServiceApp:
             obs.releases_total.inc()
             obs.released_rows_total.inc(report.num_released)
             root.set_attr("released_rows", report.num_released)
+        released = report.released_dataset().compact_codes()
         with self._lock:
             self._release_counter += 1
             release_id = f"rel{self._release_counter:06d}"
@@ -883,12 +885,13 @@ class ServiceApp:
                 model_id=model.model_id,
                 base_seed=base_seed,
                 requested_rows=rows,
-                report=report,
                 created_at=time.time(),
+                schema=report.schema,
+                rows=released,
+                attempts=report.num_attempts,
+                report=report,
             )
-            self._releases[release_id] = record
-            while len(self._releases) > self._max_releases:
-                self._releases.popitem(last=False)
+            self._remember_locked(record)
             meta = {
                 "event": "release",
                 "release_id": release_id,
@@ -931,7 +934,7 @@ class ServiceApp:
             base_seed=int(meta["base_seed"]),
             max_attempts=meta.get("max_attempts"),
         )
-        report = self._scheduler.submit(request).result()
+        report = self._run_request(request)
         record = ReleaseRecord(
             release_id=release_id,
             request_id=meta["request_id"],
@@ -939,15 +942,51 @@ class ServiceApp:
             model_id=meta["model_id"],
             base_seed=int(meta["base_seed"]),
             requested_rows=int(meta["requested_rows"]),
-            report=report,
             created_at=float(meta["timestamp"]),
+            schema=report.schema,
+            rows=report.released_dataset().compact_codes(),
+            attempts=report.num_attempts,
+            report=report,
         )
         with self._lock:
-            self._releases[release_id] = record
-            self._releases.move_to_end(release_id)
-            while len(self._releases) > self._max_releases:
-                self._releases.popitem(last=False)
+            self._remember_locked(record)
         return record
+
+    def _remember_locked(self, record: ReleaseRecord) -> None:
+        """Add ``record`` (without its report) to the bounded release history."""
+        self._releases[record.release_id] = dataclasses.replace(record, report=None)
+        self._releases.move_to_end(record.release_id)
+        while len(self._releases) > self._max_releases:
+            self._releases.popitem(last=False)
+
+    def _run_request(
+        self,
+        request: GenerateRequest,
+        session: TenantSession | None = None,
+        reservation: Reservation | None = None,
+    ) -> SynthesisReport:
+        """Run ``request`` through the scheduler and wait for its report.
+
+        Scheduler refusals map to 503 (full queue, with ``Retry-After``;
+        shutdown) or 504 (missed dispatch deadline).  When the request holds
+        ``reservation`` on ``session``, any failure cancels that hold first.
+        """
+        try:
+            return self._scheduler.submit(request).result()
+        except tuple(_REFUSALS) as exc:
+            reason, status, code, retry = _REFUSALS[type(exc)]
+            if reservation is not None:
+                session.cancel(reservation, reason=reason)
+            raise ServiceError(
+                status,
+                code,
+                str(exc),
+                retry_after=self.RETRY_AFTER_SECONDS if retry else None,
+            ) from exc
+        except BaseException:
+            if reservation is not None:
+                session.cancel(reservation)
+            raise
 
     def release(self, release_id: str) -> ReleaseRecord:
         with self._lock:
@@ -1184,7 +1223,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------ #
     def _send_json(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(_jsonable(payload)).encode()
+        body = json.dumps(json_native(payload)).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -1306,21 +1345,22 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         obs = self.app.telemetry
         t_serialize = obs.clock.monotonic() if obs is not None else 0.0
         if body.get("stream"):
-            # NDJSON stream: one header line, then one line per released row.
+            # NDJSON stream: one header line, then one line per released
+            # row, written a slab of rows per write.
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.end_headers()
             header = record.describe()
-            header["columns"] = record.report.schema.names
-            self.wfile.write((json.dumps(_jsonable(header)) + "\n").encode())
-            for row in record.decoded_rows():
-                self.wfile.write((json.dumps(_jsonable(row)) + "\n").encode())
+            header["columns"] = record.schema.names
+            self.wfile.write((json.dumps(json_native(header)) + "\n").encode())
+            for slab in record.ndjson_slabs():
+                self.wfile.write(slab)
             self._serialize_span(obs, record, t_serialize, streamed=True)
             return
         limit = _as_int(body.get("limit"), "limit", _DEFAULT_PAGE_LIMIT)
         page = record.page(0, limit)
         page.update(record.describe())
-        page["columns"] = record.report.schema.names
+        page["columns"] = record.schema.names
         page["budget"] = self.app.budget(record.session_id)["remaining"]
         self._send_json(200, page)
         self._serialize_span(obs, record, t_serialize, streamed=False)

@@ -42,11 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # pragma: no cover - exercised via the method toggle in tests
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover
-    _sparse = None
-
 __all__ = [
     "PairwiseStats",
     "CrossPairwiseStats",
@@ -67,9 +62,22 @@ _DENSE_CELL_LIMIT = 1 << 18
 _DENSE_CHUNK_CAP = 1 << 20
 
 
+def _scipy_sparse():
+    """``scipy.sparse``, imported on first use (None without scipy).
+
+    The import stays out of module load so that processes which never
+    compute a Gram matrix, such as engine workers, do not pay for scipy.
+    """
+    try:
+        from scipy import sparse
+    except ImportError:  # pragma: no cover
+        return None
+    return sparse
+
+
 def scipy_available() -> bool:
     """Whether the sparse (scipy) Gram backend can be used."""
-    return _sparse is not None
+    return _scipy_sparse() is not None
 
 
 def _validate_matrix(matrix: np.ndarray, cardinalities: tuple[int, ...]) -> np.ndarray:
@@ -103,19 +111,19 @@ def _resolve_method(method: str | None, total_a: int, total_b: int) -> str:
     if method is not None:
         if method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS} or None, got {method!r}")
-        if method == "sparse" and _sparse is None:
+        if method == "sparse" and not scipy_available():
             raise RuntimeError("scipy is not available; use the dense or bincount method")
         return method
     if total_a * total_b <= _DENSE_CELL_LIMIT:
         return "dense"
-    return "sparse" if _sparse is not None else "bincount"
+    return "sparse" if scipy_available() else "bincount"
 
 
 def _csr_indicator(shifted: np.ndarray, total: int):
     num_records, num_attributes = shifted.shape
     indptr = np.arange(0, num_records * num_attributes + 1, num_attributes)
     data = np.ones(num_records * num_attributes, dtype=np.int64)
-    return _sparse.csr_matrix((data, shifted.ravel(), indptr), shape=(num_records, total))
+    return _scipy_sparse().csr_matrix((data, shifted.ravel(), indptr), shape=(num_records, total))
 
 
 def _cross_gram_sparse(

@@ -1,5 +1,7 @@
 """Tests for the encoded Dataset container."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,122 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             Dataset.from_csv(schema, path)
+
+
+def reference_from_csv(schema, path, delimiter=","):
+    """The cell-by-cell CSV reader ``Dataset.from_csv`` must agree with."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"CSV file {path} is empty")
+        if [name.strip() for name in header] != schema.names:
+            raise ValueError(
+                f"CSV header {header} does not match schema columns {schema.names}"
+            )
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            typed_row = []
+            for cell, attribute in zip(row, schema):
+                if isinstance(attribute.values[0], (int, np.integer)):
+                    typed_row.append(int(cell))
+                else:
+                    typed_row.append(cell.strip())
+            records.append(typed_row)
+    return Dataset.from_records(schema, records)
+
+
+def outcome(load, schema, path):
+    """The loaded codes, or the type and message of the error raised."""
+    try:
+        return load(schema, path).data.tolist()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc).__name__, str(exc)
+
+
+class TestCsvIngest:
+    """``from_csv`` gives the same codes and errors as the cell-by-cell reader."""
+
+    def load(self, schema, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        expected = outcome(reference_from_csv, schema, path)
+        assert outcome(Dataset.from_csv, schema, path) == expected
+        return expected
+
+    def test_crlf_line_endings(self, schema, tmp_path):
+        codes = self.load(schema, tmp_path, "num,cat\r\n10,a\r\n30,b\r\n")
+        assert codes == [[0, 0], [2, 1]]
+
+    def test_quoted_fields(self, tmp_path):
+        schema = Schema(
+            [
+                Attribute("num", AttributeType.NUMERICAL, (1, 2)),
+                Attribute("cat", AttributeType.CATEGORICAL, ("x,y", 'say "hi"')),
+            ]
+        )
+        text = 'num,cat\n1,"x,y"\n"2","say ""hi"""\n'
+        assert self.load(schema, tmp_path, text) == [[0, 0], [1, 1]]
+
+    def test_whitespace_and_int_spellings(self, schema, tmp_path):
+        text = "num,cat\n 10 , a \n020,b\n+30,\tb\n"
+        assert self.load(schema, tmp_path, text) == [[0, 0], [1, 1], [2, 1]]
+
+    def test_blank_lines_are_skipped(self, schema, tmp_path):
+        text = "num,cat\n\n10,a\n\n\r\n20,b\n\n"
+        assert self.load(schema, tmp_path, text) == [[0, 0], [1, 1]]
+
+    def test_header_only(self, schema, tmp_path):
+        assert self.load(schema, tmp_path, "num,cat\n") == []
+
+    def test_bad_value_keeps_its_error(self, schema, tmp_path):
+        error = self.load(schema, tmp_path, "num,cat\n10,a\n20,zz\n")
+        assert error == (
+            "ValueError",
+            "value 'zz' is not in the domain of attribute 'cat'",
+        )
+        error = self.load(schema, tmp_path, "num,cat\n10,a\nten,b\n")
+        assert error == ("ValueError", "invalid literal for int() with base 10: 'ten'")
+        error = self.load(schema, tmp_path, "num,cat\n10,a\n40,b\n")
+        assert error == (
+            "ValueError",
+            "value 40 is not in the domain of attribute 'num'",
+        )
+
+    def test_wrong_field_counts(self, schema, tmp_path):
+        # Extra fields are ignored, as csv's reader zipped against the schema.
+        assert self.load(schema, tmp_path, "num,cat\n10,a,extra\n20,b\n") == [
+            [0, 0],
+            [1, 1],
+        ]
+        error = self.load(schema, tmp_path, "num,cat\n10,a\n20\n")
+        assert error[0] == "IndexError"
+
+    def test_random_texts_match_the_reference(self, schema, tmp_path):
+        rng = np.random.default_rng(0)
+        nums = ["10", "20", "30", " 10", "020", "+30", "40", "x", ""]
+        cats = ["a", "b", " a", "b ", "zz", '"b"', ""]
+        ends = ["\n", "\r\n", "\r", "\n\n", ",\n", "\n,\n"]
+        loaded = 0
+        for _ in range(300):
+            clean = rng.random() < 0.5
+            lines = [
+                rng.choice(nums[:3] if clean else nums)
+                + ","
+                + rng.choice(cats[:2] if clean else cats)
+                + rng.choice(ends[:3] if clean else ends)
+                for _ in range(rng.integers(0, 8))
+            ]
+            result = self.load(schema, tmp_path, "num,cat\n" + "".join(lines))
+            loaded += isinstance(result, list)
+        assert loaded > 150  # most texts load; the rest compare their errors
+
+    def test_semicolon_delimiter(self, schema, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("num;cat\n10;a\n30;b\n")
+        assert Dataset.from_csv(schema, path, delimiter=";").data.tolist() == [
+            [0, 0],
+            [2, 1],
+        ]

@@ -153,6 +153,56 @@ class TestServiceRefunds:
             assert budget["reserved"]["rows"] == 0
             assert budget["spent"]["rows"] == sum(r.num_released for r in results)
 
+    def test_replay_under_a_full_queue_maps_to_503_and_spends_nothing(
+        self, tmp_path
+    ):
+        # A restart empties the release history, so an idempotent retry has
+        # to regenerate its rows through the scheduler, whose queue is full.
+        journal = tmp_path / "journal.jsonl"
+        with make_app(journal=journal) as app:
+            session_id = app.create_session("tiny", budget={"max_rows": 20})[
+                "session_id"
+            ]
+            app.generate(session_id, rows=2, seed=1, idempotency_key="k1")
+            spent = app.budget(session_id)["spent"]
+
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_dispatch(request):
+            entered.set()
+            release.wait(timeout=30)
+
+        with make_app(
+            journal=journal, dispatch_hook=hold_dispatch, max_queue_depth=1
+        ) as app:
+            other = app.create_session("tiny", budget={"max_rows": 20})["session_id"]
+            threads = [
+                threading.Thread(
+                    target=app.generate, args=(other,), kwargs={"rows": 1, "seed": seed}
+                )
+                for seed in (2, 3)
+            ]
+            threads[0].start()
+            assert entered.wait(timeout=30)  # the dispatcher is held
+            threads[1].start()
+            deadline = time.monotonic() + 30
+            while app.scheduler.queue_depth() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            try:
+                with pytest.raises(ServiceError) as excinfo:
+                    app.generate(session_id, rows=2, seed=1, idempotency_key="k1")
+            finally:
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert excinfo.value.status == 503
+            assert excinfo.value.code == "queue_full"
+            assert excinfo.value.headers() == {"Retry-After": "1"}
+            budget = app.budget(session_id)
+            assert budget["spent"] == spent
+            assert budget["reserved"]["rows"] == 0
+
     def test_shutdown_refuses_with_503(self):
         with make_app() as app:
             session_id = app.create_session("tiny", budget={"max_rows": 8})[
